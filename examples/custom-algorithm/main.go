@@ -15,11 +15,25 @@ import (
 
 // spreadLinearAlltoall posts all receives, then sends to destinations in a
 // rank-rotated order with a small pipeline window.
+//
+// Selection runs every algorithm in timing mode, with a nil a.Data: the
+// schedule and its byte counts are all that matter, so a nil payload stays
+// nil and the result is nil too.
 func spreadLinearAlltoall(a *collsel.Args) ([]float64, error) {
 	r := a.R
 	p, me := r.Size(), r.ID()
-	res := make([]float64, p*a.Count)
-	copy(res[me*a.Count:(me+1)*a.Count], a.Data[me*a.Count:(me+1)*a.Count])
+	// block returns rank d's Count elements of v (nil for a nil v).
+	block := func(v []float64, d int) []float64 {
+		if v == nil {
+			return nil
+		}
+		return v[d*a.Count : (d+1)*a.Count]
+	}
+	var res []float64
+	if a.Data != nil {
+		res = make([]float64, p*a.Count)
+	}
+	copy(block(res, me), block(a.Data, me))
 
 	type pendingRecv struct {
 		src int
@@ -34,9 +48,7 @@ func spreadLinearAlltoall(a *collsel.Args) ([]float64, error) {
 	var window []*collsel.Request
 	for i := 1; i < p; i++ {
 		dst := (me + i) % p
-		chunk := make([]float64, a.Count)
-		copy(chunk, a.Data[dst*a.Count:(dst+1)*a.Count])
-		window = append(window, r.Isend(dst, a.Tag, chunk, a.Bytes(a.Count)))
+		window = append(window, r.Isend(dst, a.Tag, block(a.Data, dst), a.Bytes(a.Count)))
 		if len(window) > 4 {
 			window[0].Wait()
 			window = window[1:]
@@ -47,7 +59,7 @@ func spreadLinearAlltoall(a *collsel.Args) ([]float64, error) {
 	}
 	for _, pr := range recvs {
 		m := pr.req.Wait()
-		copy(res[pr.src*a.Count:(pr.src+1)*a.Count], m.Data)
+		copy(block(res, pr.src), m.Data)
 	}
 	return res, nil
 }

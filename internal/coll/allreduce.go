@@ -81,7 +81,7 @@ func allreduceRecursiveDoubling(a *Args) ([]float64, error) {
 			a.R.Send(me+1, a.Tag, buf, a.Bytes(a.Count))
 		} else {
 			m := a.R.Recv(me-1, a.Tag)
-			accumulate(a, buf, m.Data)
+			accumulate(a, buf, m.Data, a.Count)
 			newRank = me / 2
 		}
 	} else {
@@ -97,7 +97,7 @@ func allreduceRecursiveDoubling(a *Args) ([]float64, error) {
 		for b := 1; b < pof2; b <<= 1 {
 			peer := toReal(newRank ^ b)
 			m := a.R.Sendrecv(peer, a.Tag+1, clonev(buf), a.Bytes(a.Count), peer, a.Tag+1)
-			accumulate(a, buf, m.Data)
+			accumulate(a, buf, m.Data, a.Count)
 		}
 	}
 	// Unfold: odd survivors return the result to their even partners.
@@ -148,16 +148,16 @@ func allreduceRing(a *Args) ([]float64, error) {
 	for s := 0; s < p-1; s++ {
 		sc := ((me-s)%p + p) % p
 		rc := ((me-s-1)%p + p) % p
-		m := a.R.Sendrecv(next, a.Tag+s, clonev(buf[bounds[sc]:bounds[sc+1]]), a.Bytes(bounds[sc+1]-bounds[sc]), prev, a.Tag+s)
-		accumulate(a, buf[bounds[rc]:bounds[rc+1]], m.Data)
+		m := a.R.Sendrecv(next, a.Tag+s, clonev(seg(buf, bounds[sc], bounds[sc+1])), a.Bytes(bounds[sc+1]-bounds[sc]), prev, a.Tag+s)
+		accumulate(a, seg(buf, bounds[rc], bounds[rc+1]), m.Data, bounds[rc+1]-bounds[rc])
 	}
 	// Allgather: circulate finished chunks.
 	cur := (me + 1) % p
 	for s := 0; s < p-1; s++ {
 		tag := a.Tag + tagSpan/2 + s
-		m := a.R.Sendrecv(next, tag, clonev(buf[bounds[cur]:bounds[cur+1]]), a.Bytes(bounds[cur+1]-bounds[cur]), prev, tag)
+		m := a.R.Sendrecv(next, tag, clonev(seg(buf, bounds[cur], bounds[cur+1])), a.Bytes(bounds[cur+1]-bounds[cur]), prev, tag)
 		cur = (cur - 1 + p) % p
-		copy(buf[bounds[cur]:bounds[cur]+len(m.Data)], m.Data)
+		copy(seg(buf, bounds[cur], bounds[cur+1]), m.Data)
 	}
 	return buf, nil
 }
@@ -201,12 +201,13 @@ func allreduceSegmentedRing(a *Args) ([]float64, error) {
 		for g := 0; g < nSegS; g++ {
 			lo := sLo + g*segCount
 			hi := minInt(lo+segCount, sHi)
-			sends = append(sends, a.R.Isend(next, tag+g, clonev(buf[lo:hi]), a.Bytes(hi-lo)))
+			sends = append(sends, a.R.Isend(next, tag+g, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo)))
 		}
 		for g := 0; g < nSegR; g++ {
 			m := recvs[g].Wait()
 			lo := rLo + g*segCount
-			accumulate(a, buf[lo:lo+len(m.Data)], m.Data)
+			hi := minInt(lo+segCount, rHi)
+			accumulate(a, seg(buf, lo, hi), m.Data, hi-lo)
 		}
 		waitall(sends)
 		tag += maxInt(nSegS, nSegR) + 1
@@ -215,9 +216,9 @@ func allreduceSegmentedRing(a *Args) ([]float64, error) {
 	cur := (me + 1) % p
 	for s := 0; s < p-1; s++ {
 		t := a.Tag + tagSpan/2 + s
-		m := a.R.Sendrecv(next, t, clonev(buf[bounds[cur]:bounds[cur+1]]), a.Bytes(bounds[cur+1]-bounds[cur]), prev, t)
+		m := a.R.Sendrecv(next, t, clonev(seg(buf, bounds[cur], bounds[cur+1])), a.Bytes(bounds[cur+1]-bounds[cur]), prev, t)
 		cur = (cur - 1 + p) % p
-		copy(buf[bounds[cur]:bounds[cur]+len(m.Data)], m.Data)
+		copy(seg(buf, bounds[cur], bounds[cur+1]), m.Data)
 	}
 	return buf, nil
 }
@@ -245,7 +246,7 @@ func allreduceRabenseifner(a *Args) ([]float64, error) {
 			a.R.Send(me+1, a.Tag, buf, a.Bytes(a.Count))
 		} else {
 			m := a.R.Recv(me-1, a.Tag)
-			accumulate(a, buf, m.Data)
+			accumulate(a, buf, m.Data, a.Count)
 			newRank = me / 2
 		}
 	} else {
@@ -275,8 +276,8 @@ func allreduceRabenseifner(a *Args) ([]float64, error) {
 			}
 			sb, se := bounds[sendLo], bounds[sendHi]
 			kb, ke := bounds[keepLo], bounds[keepHi]
-			m := a.R.Sendrecv(peer, a.Tag+1, clonev(buf[sb:se]), a.Bytes(se-sb), peer, a.Tag+1)
-			accumulate(a, buf[kb:ke], m.Data)
+			m := a.R.Sendrecv(peer, a.Tag+1, clonev(seg(buf, sb, se)), a.Bytes(se-sb), peer, a.Tag+1)
+			accumulate(a, seg(buf, kb, ke), m.Data, ke-kb)
 			maskLo, maskHi = keepLo, keepHi
 		}
 		// Recursive doubling allgather over the group.
@@ -284,12 +285,12 @@ func allreduceRabenseifner(a *Args) ([]float64, error) {
 		for b := 1; b < pof2; b <<= 1 {
 			peer := toReal(newRank ^ b)
 			lo, hi := bounds[haveLo], bounds[haveHi]
-			m := a.R.Sendrecv(peer, a.Tag+2, clonev(buf[lo:hi]), a.Bytes(hi-lo), peer, a.Tag+2)
+			m := a.R.Sendrecv(peer, a.Tag+2, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo), peer, a.Tag+2)
 			if newRank^b < newRank {
-				copy(buf[bounds[haveLo-b]:bounds[haveLo-b]+len(m.Data)], m.Data)
+				copy(seg(buf, bounds[haveLo-b], bounds[haveLo]), m.Data)
 				haveLo -= b
 			} else {
-				copy(buf[bounds[haveHi]:bounds[haveHi]+len(m.Data)], m.Data)
+				copy(seg(buf, bounds[haveHi], bounds[haveHi+b]), m.Data)
 				haveHi += b
 			}
 		}

@@ -24,15 +24,15 @@ func checkAlltoallArgs(a *Args) error {
 	if a.Count <= 0 {
 		return fmt.Errorf("coll: count must be positive, got %d", a.Count)
 	}
-	if len(a.Data) != a.Count*a.size() {
+	if a.Data != nil && len(a.Data) != a.Count*a.size() {
 		return fmt.Errorf("coll: rank %d alltoall data length %d != count*p = %d", a.me(), len(a.Data), a.Count*a.size())
 	}
 	return nil
 }
 
-// chunk returns the slice of a.Data destined to rank d.
+// chunk returns block d (Count elements) of data; nil in timing mode.
 func chunk(a *Args, data []float64, d int) []float64 {
-	return data[d*a.Count : (d+1)*a.Count]
+	return seg(data, d*a.Count, (d+1)*a.Count)
 }
 
 // The alltoall algorithms send chunks of a.Data by reference instead of
@@ -51,7 +51,7 @@ func alltoallBasicLinear(a *Args) ([]float64, error) {
 		return nil, err
 	}
 	p, me := a.size(), a.me()
-	res := a.alloc(p * a.Count)
+	res := newLike(a.Data, p*a.Count)
 	copy(chunk(a, res, me), chunk(a, a.Data, me))
 	chargeCopy(a, a.Count)
 	if p == 1 {
@@ -89,7 +89,7 @@ func alltoallPairwise(a *Args) ([]float64, error) {
 		return nil, err
 	}
 	p, me := a.size(), a.me()
-	res := a.alloc(p * a.Count)
+	res := newLike(a.Data, p*a.Count)
 	copy(chunk(a, res, me), chunk(a, a.Data, me))
 	chargeCopy(a, a.Count)
 	for s := 1; s < p; s++ {
@@ -110,10 +110,8 @@ func alltoallBruck(a *Args) ([]float64, error) {
 	}
 	p, me := a.size(), a.me()
 	if p == 1 {
-		res := a.alloc(len(a.Data))
-		copy(res, a.Data)
 		chargeCopy(a, a.Count)
-		return res, nil
+		return clonev(a.Data), nil
 	}
 	// Phase 1: local rotation. blocks[k] = my data for rank (me+k) mod p.
 	// Blocks alias a.Data (and, after an exchange round, received payloads);
@@ -136,23 +134,23 @@ func alltoallBruck(a *Args) ([]float64, error) {
 				idxs = append(idxs, k)
 			}
 		}
-		packed := a.alloc(len(idxs) * a.Count)[:0]
-		for _, k := range idxs {
-			packed = append(packed, blocks[k]...)
+		packed := newLike(a.Data, len(idxs)*a.Count)
+		for i, k := range idxs {
+			copy(chunk(a, packed, i), blocks[k])
 		}
 		chargeCopy(a, len(idxs)*a.Count)
-		m := a.R.Sendrecv(dst, a.Tag+bit, packed, a.Bytes(len(packed)), src, a.Tag+bit)
+		m := a.R.Sendrecv(dst, a.Tag+bit, packed, a.Bytes(len(idxs)*a.Count), src, a.Tag+bit)
 		// The received payload is the peer's freshly packed buffer for this
 		// round; the peer never touches it again, so blocks can alias it.
 		for i, k := range idxs {
-			blocks[k] = m.Data[i*a.Count : (i+1)*a.Count]
+			blocks[k] = chunk(a, m.Data, i)
 		}
 		chargeCopy(a, len(idxs)*a.Count)
 	}
 
 	// Phase 3: inverse rotation. After the exchange rounds, blocks[k] holds
 	// the data sent *to me* by rank (me-k) mod p.
-	res := a.alloc(p * a.Count)
+	res := newLike(a.Data, p*a.Count)
 	for k := 0; k < p; k++ {
 		srcRank := (me - k + p) % p
 		copy(chunk(a, res, srcRank), blocks[k])
@@ -172,7 +170,7 @@ func alltoallLinearSync(a *Args) ([]float64, error) {
 		return nil, err
 	}
 	p, me := a.size(), a.me()
-	res := a.alloc(p * a.Count)
+	res := newLike(a.Data, p*a.Count)
 	copy(chunk(a, res, me), chunk(a, a.Data, me))
 	chargeCopy(a, a.Count)
 	if p == 1 {
@@ -213,7 +211,7 @@ func alltoallRing(a *Args) ([]float64, error) {
 		return nil, err
 	}
 	p, me := a.size(), a.me()
-	res := a.alloc(p * a.Count)
+	res := newLike(a.Data, p*a.Count)
 	copy(chunk(a, res, me), chunk(a, a.Data, me))
 	chargeCopy(a, a.Count)
 	for s := 1; s < p; s++ {

@@ -84,7 +84,8 @@ func abs64(x float64) float64 {
 	return x
 }
 
-// meshBlock is one (origin, dst) payload routed through the mesh.
+// meshBlock is one (origin, dst) block routed through the mesh; data is nil
+// in timing mode.
 type meshBlock struct {
 	origin, dst int
 	data        []float64
@@ -169,15 +170,17 @@ func meshAlltoall(a *Args, dims []int) ([]float64, error) {
 			}
 			peer := withCoord(me, dim, v)
 			blocks := groups[v]
-			packed := make([]float64, 0, len(blocks)*a.Count)
-			header := make([]float64, 0, 2*len(blocks))
+			// Wire format: [n, origin0, dst0, origin1, dst1, ..., payload...];
+			// timing mode sends the routing header alone. Only the payload
+			// is charged as wire bytes.
+			msg := []float64{float64(len(blocks))}
 			for _, b := range blocks {
-				header = append(header, float64(b.origin), float64(b.dst))
-				packed = append(packed, b.data...)
+				msg = append(msg, float64(b.origin), float64(b.dst))
+			}
+			for _, b := range blocks {
+				msg = append(msg, b.data...)
 			}
 			chargeCopy(a, len(blocks)*a.Count)
-			// Wire format: [n, origin0, dst0, origin1, dst1, ..., payload...].
-			msg := append(append([]float64{float64(len(blocks))}, header...), packed...)
 			sends = append(sends, a.R.Isend(peer, tag, msg, a.Bytes(len(blocks)*a.Count)))
 		}
 		next := keep
@@ -185,12 +188,15 @@ func meshAlltoall(a *Args, dims []int) ([]float64, error) {
 			m := pr.req.Wait()
 			n := int(m.Data[0])
 			hdr := m.Data[1 : 1+2*n]
-			payload := m.Data[1+2*n:]
+			var payload []float64
+			if a.Data != nil {
+				payload = m.Data[1+2*n:]
+			}
 			for i := 0; i < n; i++ {
 				next = append(next, meshBlock{
 					origin: int(hdr[2*i]),
 					dst:    int(hdr[2*i+1]),
-					data:   clonev(payload[i*a.Count : (i+1)*a.Count]),
+					data:   clonev(chunk(a, payload, i)),
 				})
 			}
 			chargeCopy(a, n*a.Count)
@@ -199,7 +205,7 @@ func meshAlltoall(a *Args, dims []int) ([]float64, error) {
 		held = next
 	}
 
-	res := make([]float64, p*a.Count)
+	res := newLike(a.Data, p*a.Count)
 	for _, b := range held {
 		if b.dst != me {
 			return nil, fmt.Errorf("coll: mesh routing left a stray block (origin %d dst %d) at rank %d", b.origin, b.dst, me)

@@ -17,7 +17,8 @@ import (
 // Data holds the concatenated chunks (sum(Counts) elements). The result is
 // the concatenation of the received chunks in source-rank order; since the
 // runtime's messages are self-describing, receive counts need not be
-// specified separately.
+// specified separately. Timing mode (nil Data) charges sends from Counts and
+// returns nil.
 
 func init() {
 	register(Algorithm{Coll: Alltoallv, ID: 1, Name: "basic_linear", Abbrev: "Lin", Run: alltoallvBasicLinear})
@@ -36,7 +37,7 @@ func checkAlltoallvArgs(a *Args) error {
 		}
 		total += c
 	}
-	if len(a.Data) != total {
+	if a.Data != nil && len(a.Data) != total {
 		return fmt.Errorf("coll: rank %d alltoallv data length %d != sum(counts) %d", a.me(), len(a.Data), total)
 	}
 	return nil
@@ -48,11 +49,15 @@ func vchunk(a *Args, d int) []float64 {
 	for i := 0; i < d; i++ {
 		off += a.Counts[i]
 	}
-	return a.Data[off : off+a.Counts[d]]
+	return seg(a.Data, off, off+a.Counts[d])
 }
 
-// assembleV concatenates per-source chunks in rank order.
-func assembleV(chunks [][]float64) []float64 {
+// assembleV concatenates per-source chunks in rank order (nil in timing
+// mode).
+func assembleV(a *Args, chunks [][]float64) []float64 {
+	if a.Data == nil {
+		return nil
+	}
 	total := 0
 	for _, c := range chunks {
 		total += len(c)
@@ -72,9 +77,9 @@ func alltoallvBasicLinear(a *Args) ([]float64, error) {
 	p, me := a.size(), a.me()
 	chunks := make([][]float64, p)
 	chunks[me] = clonev(vchunk(a, me))
-	chargeCopy(a, len(chunks[me]))
+	chargeCopy(a, a.Counts[me])
 	if p == 1 {
-		return assembleV(chunks), nil
+		return assembleV(a, chunks), nil
 	}
 	recvs := make([]*mpi.Request, 0, p-1)
 	srcs := make([]int, 0, p-1)
@@ -86,15 +91,14 @@ func alltoallvBasicLinear(a *Args) ([]float64, error) {
 	sends := make([]*mpi.Request, 0, p-1)
 	for i := 1; i < p; i++ {
 		dst := (me + i) % p
-		c := vchunk(a, dst)
-		sends = append(sends, a.R.Isend(dst, a.Tag, clonev(c), a.Bytes(len(c))))
+		sends = append(sends, a.R.Isend(dst, a.Tag, clonev(vchunk(a, dst)), a.Bytes(a.Counts[dst])))
 	}
 	for i, q := range recvs {
 		m := q.Wait()
 		chunks[srcs[i]] = m.Data
 	}
 	waitall(sends)
-	return assembleV(chunks), nil
+	return assembleV(a, chunks), nil
 }
 
 // alltoallvPairwise: p-1 sendrecv rounds with (me+s)/(me-s) partners.
@@ -105,13 +109,12 @@ func alltoallvPairwise(a *Args) ([]float64, error) {
 	p, me := a.size(), a.me()
 	chunks := make([][]float64, p)
 	chunks[me] = clonev(vchunk(a, me))
-	chargeCopy(a, len(chunks[me]))
+	chargeCopy(a, a.Counts[me])
 	for s := 1; s < p; s++ {
 		sendTo := (me + s) % p
 		recvFrom := (me - s + p) % p
-		c := vchunk(a, sendTo)
-		m := a.R.Sendrecv(sendTo, a.Tag+s, clonev(c), a.Bytes(len(c)), recvFrom, a.Tag+s)
+		m := a.R.Sendrecv(sendTo, a.Tag+s, clonev(vchunk(a, sendTo)), a.Bytes(a.Counts[sendTo]), recvFrom, a.Tag+s)
 		chunks[recvFrom] = m.Data
 	}
-	return assembleV(chunks), nil
+	return assembleV(a, chunks), nil
 }

@@ -42,7 +42,7 @@ func checkBcastArgs(a *Args) error {
 	if a.Root < 0 || a.Root >= a.size() {
 		return fmt.Errorf("coll: root %d out of range", a.Root)
 	}
-	if a.me() == a.Root && len(a.Data) != a.Count {
+	if a.me() == a.Root && a.Data != nil && len(a.Data) != a.Count {
 		return fmt.Errorf("coll: root data length %d != count %d", len(a.Data), a.Count)
 	}
 	return nil
@@ -76,11 +76,11 @@ func bcastLinear(a *Args) ([]float64, error) {
 func treeBcastSegmented(a *Args, t tree, segDefault int) ([]float64, error) {
 	segCount := a.segCount(segDefault)
 	nseg := ceilDiv(a.Count, segCount)
+	// A non-root allocates its result on the first segment, in data mode
+	// only: its own Data is nil in both modes.
 	var buf []float64
 	if t.parent < 0 {
 		buf = clonev(a.Data)
-	} else {
-		buf = make([]float64, a.Count)
 	}
 	// Pre-post receives for all segments from the parent.
 	var recvs []*mpi.Request
@@ -99,10 +99,13 @@ func treeBcastSegmented(a *Args, t tree, segDefault int) ([]float64, error) {
 		}
 		if t.parent >= 0 {
 			m := recvs[s].Wait()
-			copy(buf[lo:hi], m.Data)
+			if s == 0 {
+				buf = newLike(m.Data, a.Count)
+			}
+			copy(seg(buf, lo, hi), m.Data)
 		}
 		for _, c := range t.children {
-			sends = append(sends, a.R.Isend(c, a.Tag+s, clonev(buf[lo:hi]), a.Bytes(hi-lo)))
+			sends = append(sends, a.R.Isend(c, a.Tag+s, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo)))
 		}
 	}
 	waitall(sends)
@@ -173,9 +176,11 @@ func bcastScatterAllgather(a *Args) ([]float64, error) {
 			bounds[i+1]++
 		}
 	}
-	buf := make([]float64, a.Count)
+	// The root starts from its input; every other rank allocates its
+	// buffer (data mode only) when its scatter chunk arrives.
+	var buf []float64
 	if me == root {
-		copy(buf, a.Data)
+		buf = clonev(a.Data)
 	}
 
 	// Binomial scatter: vrank 0 holds all chunks; at each step the holder of
@@ -188,7 +193,8 @@ func bcastScatterAllgather(a *Args) ([]float64, error) {
 		low := v & (-v)
 		parent := rrank(v^low, root, p)
 		m := a.R.Recv(parent, a.Tag)
-		copy(buf[bounds[v]:bounds[v]+len(m.Data)], m.Data)
+		buf = newLike(m.Data, a.Count)
+		copy(seg(buf, bounds[v], a.Count), m.Data)
 	}
 	for b := highBit; b >= 1; b >>= 1 {
 		if v&(b-1) == 0 && v&b == 0 { // I hold [v, v+2b); send upper half
@@ -196,7 +202,7 @@ func bcastScatterAllgather(a *Args) ([]float64, error) {
 			if cv < p {
 				hiC := minInt(cv+b, p)
 				lo, hi := bounds[cv], bounds[hiC]
-				a.R.Send(rrank(cv, root, p), a.Tag, clonev(buf[lo:hi]), a.Bytes(hi-lo))
+				a.R.Send(rrank(cv, root, p), a.Tag, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo))
 			}
 		}
 	}
@@ -210,9 +216,7 @@ func bcastScatterAllgather(a *Args) ([]float64, error) {
 			peer := v ^ b
 			// Exchange entire held range.
 			lo, hi := bounds[haveLo], bounds[haveHi]
-			m := a.R.Sendrecv(rrank(peer, root, p), a.Tag+1, clonev(buf[lo:hi]), a.Bytes(hi-lo), rrank(peer, root, p), a.Tag+1)
-			peerLo := peer &^ (b - 1)
-			_ = peerLo
+			m := a.R.Sendrecv(rrank(peer, root, p), a.Tag+1, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo), rrank(peer, root, p), a.Tag+1)
 			// Peer holds the mirrored range of the same width.
 			var dstLo int
 			if peer < v {
@@ -220,7 +224,7 @@ func bcastScatterAllgather(a *Args) ([]float64, error) {
 			} else {
 				dstLo = haveHi
 			}
-			copy(buf[bounds[dstLo]:bounds[dstLo]+len(m.Data)], m.Data)
+			copy(seg(buf, bounds[dstLo], bounds[dstLo+b]), m.Data)
 			if peer < v {
 				haveLo -= b
 			} else {
@@ -235,9 +239,9 @@ func bcastScatterAllgather(a *Args) ([]float64, error) {
 	cur := v
 	for step := 0; step < p-1; step++ {
 		lo, hi := bounds[cur], bounds[cur+1]
-		m := a.R.Sendrecv(next, a.Tag+2+step, clonev(buf[lo:hi]), a.Bytes(hi-lo), prev, a.Tag+2+step)
+		m := a.R.Sendrecv(next, a.Tag+2+step, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo), prev, a.Tag+2+step)
 		cur = (cur - 1 + p) % p
-		copy(buf[bounds[cur]:bounds[cur]+len(m.Data)], m.Data)
+		copy(seg(buf, bounds[cur], bounds[cur+1]), m.Data)
 	}
 	return buf, nil
 }

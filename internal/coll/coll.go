@@ -5,10 +5,19 @@
 // Scatter, Allgather, Barrier) they are built from.
 //
 // Algorithms are pure schedules over the mpi runtime's point-to-point
-// operations and move real payloads, so their results are checkable: a
-// reduce really sums vectors, an alltoall really transposes chunks. Wire
-// size is decoupled from the logical payload through Args.ElemSize, which
-// lets experiments express the paper's 2 B ... 1 MiB message range.
+// operations. Every message is charged by element count (Args.Count and
+// Args.ElemSize), never by the length of a payload, which lets experiments
+// express the paper's 2 B ... 1 MiB message range. Each algorithm runs in
+// one of two modes, chosen by its input:
+//
+//   - Timing mode (Args.Data == nil on every rank): the schedule runs on
+//     sizes alone. Messages carry no payload, reductions charge their
+//     compute cost without doing the arithmetic, and local copies are
+//     charged without copying. The makespan is the same as in data mode,
+//     so algorithm selection runs this way, without payload-sized memory.
+//   - Data mode (non-nil inputs): the same schedule also moves real
+//     payloads, so results are checkable — a reduce really sums vectors,
+//     an alltoall really transposes chunks.
 package coll
 
 import (
@@ -72,17 +81,15 @@ type Args struct {
 	// Scatter); ignored otherwise.
 	Root int
 	// Data is this rank's input. Reduce/Allreduce/Bcast(root)/Gather: Count
-	// elements. Alltoall/Scatter(root): Count*p elements (p chunks of Count).
-	// Algorithms treat Data as read-only, so callers may reuse one buffer
-	// across invocations.
+	// elements. Alltoall/Scatter(root)/ReduceScatter: Count*p elements (p
+	// chunks of Count). Ranks that only receive (non-root Bcast/Scatter)
+	// pass nil. Algorithms treat Data as read-only, so callers may reuse
+	// one buffer across invocations.
+	//
+	// A nil Data on every rank selects timing mode (see the package doc):
+	// the algorithm runs the same schedule with the same charges and
+	// returns a nil result. A non-nil Data of the wrong length is an error.
 	Data []float64
-	// Arena, when non-nil, provides uncleared backing storage that the
-	// algorithm may carve its result and scratch buffers from (see alloc).
-	// The caller owns it and must treat both the arena and any previously
-	// returned result as invalidated when it starts the next collective with
-	// the same arena. Algorithms that use it fully overwrite every slice
-	// they carve, so stale contents never leak.
-	Arena []float64
 	// Count is the number of elements per destination (Alltoall, Scatter,
 	// Gather, Allgather) or the total vector length (Reduce, Allreduce,
 	// Bcast).
@@ -100,22 +107,6 @@ type Args struct {
 	// Tag is the base tag for this invocation; callers running collectives
 	// back to back must use distinct bases (see NextTag).
 	Tag int
-
-	// arenaOff is the carve cursor into Arena; Args values are per
-	// invocation, so it starts at zero for every collective call.
-	arenaOff int
-}
-
-// alloc returns a length-n float64 slice for result or scratch use: carved
-// from a.Arena when enough capacity remains, freshly allocated otherwise.
-// The slice is NOT cleared; callers must fully overwrite it.
-func (a *Args) alloc(n int) []float64 {
-	if rest := len(a.Arena) - a.arenaOff; rest >= n {
-		s := a.Arena[a.arenaOff : a.arenaOff+n : a.arenaOff+n]
-		a.arenaOff += n
-		return s
-	}
-	return make([]float64, n)
 }
 
 func (a *Args) size() int { return a.R.Size() }
@@ -270,20 +261,44 @@ func waitall(reqs []*mpi.Request) {
 	}
 }
 
-// clonev returns a copy of v (never nil for non-nil input).
+// The helpers below keep timing mode payload-free: a nil buffer stands for
+// a payload that is never materialized, and stays nil through slicing,
+// cloning and allocation.
+
+// seg returns v[lo:hi], or nil when v is nil.
+func seg(v []float64, lo, hi int) []float64 {
+	if v == nil {
+		return nil
+	}
+	return v[lo:hi]
+}
+
+// newLike returns a zeroed n-element buffer, or nil when like is nil: a
+// result or scratch buffer exists only in data mode.
+func newLike(like []float64, n int) []float64 {
+	if like == nil {
+		return nil
+	}
+	return make([]float64, n)
+}
+
+// clonev returns a copy of v (nil for nil input, non-nil otherwise).
 func clonev(v []float64) []float64 {
+	if v == nil {
+		return nil
+	}
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
 }
 
 // accumulate adds src into dst element-wise and charges the reduction-op
-// cost for the touched bytes.
-func accumulate(a *Args, dst, src []float64) {
+// cost of n elements; in timing mode (nil src) only the cost is charged.
+func accumulate(a *Args, dst, src []float64, n int) {
 	for i := range src {
 		dst[i] += src[i]
 	}
-	chargeReduce(a, len(src))
+	chargeReduce(a, n)
 }
 
 // chargeReduce advances the rank by the reduction-op cost of n elements.
@@ -310,7 +325,7 @@ func checkReduceArgs(a *Args) error {
 	if a.Count <= 0 {
 		return fmt.Errorf("coll: count must be positive, got %d", a.Count)
 	}
-	if len(a.Data) != a.Count {
+	if a.Data != nil && len(a.Data) != a.Count {
 		return fmt.Errorf("coll: rank %d data length %d != count %d", a.me(), len(a.Data), a.Count)
 	}
 	if a.Root < 0 || a.Root >= a.size() {

@@ -29,7 +29,7 @@ func checkGatherArgs(a *Args) error {
 	if a.Root < 0 || a.Root >= a.size() {
 		return fmt.Errorf("coll: root %d out of range", a.Root)
 	}
-	if len(a.Data) != a.Count {
+	if a.Data != nil && len(a.Data) != a.Count {
 		return fmt.Errorf("coll: rank %d gather/allgather data length %d != count %d", a.me(), len(a.Data), a.Count)
 	}
 	return nil
@@ -45,8 +45,8 @@ func gatherLinear(a *Args) ([]float64, error) {
 		a.R.Send(root, a.Tag, a.Data, a.Bytes(a.Count))
 		return nil, nil
 	}
-	res := make([]float64, p*a.Count)
-	copy(res[me*a.Count:(me+1)*a.Count], a.Data)
+	res := newLike(a.Data, p*a.Count)
+	copy(chunk(a, res, me), a.Data)
 	reqs := make([]*mpi.Request, 0, p-1)
 	srcs := make([]int, 0, p-1)
 	for s := 0; s < p; s++ {
@@ -58,8 +58,7 @@ func gatherLinear(a *Args) ([]float64, error) {
 	}
 	for i, q := range reqs {
 		m := q.Wait()
-		s := srcs[i]
-		copy(res[s*a.Count:(s+1)*a.Count], m.Data)
+		copy(chunk(a, res, srcs[i]), m.Data)
 	}
 	return res, nil
 }
@@ -77,27 +76,26 @@ func gatherBinomial(a *Args) ([]float64, error) {
 	}
 	v := vrank(me, root, p)
 	// buf holds blocks indexed by virtual rank, buf[w] for w in [v, hiV).
-	buf := make([]float64, p*a.Count)
-	copy(buf[v*a.Count:(v+1)*a.Count], a.Data)
+	buf := newLike(a.Data, p*a.Count)
+	copy(chunk(a, buf, v), a.Data)
 	hiV := v + 1
 	for bit := 1; bit < p; bit <<= 1 {
 		if v&bit != 0 {
 			parent := rrank(v^bit, root, p)
-			a.R.Send(parent, a.Tag, clonev(buf[v*a.Count:hiV*a.Count]), a.Bytes((hiV-v)*a.Count))
+			a.R.Send(parent, a.Tag, clonev(seg(buf, v*a.Count, hiV*a.Count)), a.Bytes((hiV-v)*a.Count))
 			return nil, nil
 		}
 		childV := v | bit
 		if childV < p {
 			m := a.R.Recv(rrank(childV, root, p), a.Tag)
-			copy(buf[childV*a.Count:childV*a.Count+len(m.Data)], m.Data)
 			hiV = minInt(childV+bit, p)
+			copy(seg(buf, childV*a.Count, hiV*a.Count), m.Data)
 		}
 	}
 	// Only the root (v == 0) reaches here; undo the virtual rotation.
-	res := make([]float64, p*a.Count)
+	res := newLike(a.Data, p*a.Count)
 	for w := 0; w < p; w++ {
-		real := rrank(w, root, p)
-		copy(res[real*a.Count:(real+1)*a.Count], buf[w*a.Count:(w+1)*a.Count])
+		copy(chunk(a, res, rrank(w, root, p)), chunk(a, buf, w))
 	}
 	chargeCopy(a, p*a.Count)
 	return res, nil
@@ -110,7 +108,7 @@ func checkScatterArgs(a *Args) error {
 	if a.Root < 0 || a.Root >= a.size() {
 		return fmt.Errorf("coll: root %d out of range", a.Root)
 	}
-	if a.me() == a.Root && len(a.Data) != a.Count*a.size() {
+	if a.me() == a.Root && a.Data != nil && len(a.Data) != a.Count*a.size() {
 		return fmt.Errorf("coll: root scatter data length %d != count*p = %d", len(a.Data), a.Count*a.size())
 	}
 	return nil
@@ -123,7 +121,7 @@ func scatterLinear(a *Args) ([]float64, error) {
 	}
 	p, me, root := a.size(), a.me(), a.Root
 	if p == 1 {
-		return clonev(a.Data[:a.Count]), nil
+		return clonev(chunk(a, a.Data, 0)), nil
 	}
 	if me == root {
 		reqs := make([]*mpi.Request, 0, p-1)
@@ -131,10 +129,10 @@ func scatterLinear(a *Args) ([]float64, error) {
 			if d == root {
 				continue
 			}
-			reqs = append(reqs, a.R.Isend(d, a.Tag, clonev(a.Data[d*a.Count:(d+1)*a.Count]), a.Bytes(a.Count)))
+			reqs = append(reqs, a.R.Isend(d, a.Tag, clonev(chunk(a, a.Data, d)), a.Bytes(a.Count)))
 		}
 		waitall(reqs)
-		return clonev(a.Data[root*a.Count : (root+1)*a.Count]), nil
+		return clonev(chunk(a, a.Data, root)), nil
 	}
 	return a.R.Recv(root, a.Tag).Data, nil
 }
@@ -147,22 +145,23 @@ func scatterBinomial(a *Args) ([]float64, error) {
 	}
 	p, me, root := a.size(), a.me(), a.Root
 	if p == 1 {
-		return clonev(a.Data[:a.Count]), nil
+		return clonev(chunk(a, a.Data, 0)), nil
 	}
 	v := vrank(me, root, p)
 	// Virtual-block buffer: on arrival, node v holds blocks [v, v+low(v)).
-	buf := make([]float64, p*a.Count)
+	var buf []float64
 	if me == root {
+		buf = newLike(a.Data, p*a.Count)
 		for w := 0; w < p; w++ {
-			real := rrank(w, root, p)
-			copy(buf[w*a.Count:(w+1)*a.Count], a.Data[real*a.Count:(real+1)*a.Count])
+			copy(chunk(a, buf, w), chunk(a, a.Data, rrank(w, root, p)))
 		}
 		chargeCopy(a, p*a.Count)
 	} else {
 		low := v & (-v)
 		parent := rrank(v^low, root, p)
 		m := a.R.Recv(parent, a.Tag)
-		copy(buf[v*a.Count:v*a.Count+len(m.Data)], m.Data)
+		buf = newLike(m.Data, p*a.Count)
+		copy(seg(buf, v*a.Count, p*a.Count), m.Data)
 	}
 	highBit := nearestPow2LE(maxInt(1, p-1))
 	for b := highBit; b >= 1; b >>= 1 {
@@ -170,11 +169,11 @@ func scatterBinomial(a *Args) ([]float64, error) {
 			cv := v + b
 			if cv < p {
 				hiC := minInt(cv+b, p)
-				a.R.Send(rrank(cv, root, p), a.Tag, clonev(buf[cv*a.Count:hiC*a.Count]), a.Bytes((hiC-cv)*a.Count))
+				a.R.Send(rrank(cv, root, p), a.Tag, clonev(seg(buf, cv*a.Count, hiC*a.Count)), a.Bytes((hiC-cv)*a.Count))
 			}
 		}
 	}
-	return clonev(buf[v*a.Count : (v+1)*a.Count]), nil
+	return clonev(chunk(a, buf, v)), nil
 }
 
 // allgatherLinear: gather to rank 0 then broadcast (coll_basic).
@@ -201,22 +200,21 @@ func allgatherBruck(a *Args) ([]float64, error) {
 	}
 	p, me := a.size(), a.me()
 	// blocks[k] = block of rank (me+k) mod p, filled progressively.
-	blocks := make([]float64, p*a.Count)
-	copy(blocks[:a.Count], a.Data)
+	blocks := newLike(a.Data, p*a.Count)
+	copy(blocks, a.Data)
 	have := 1
 	for bit := 1; bit < p; bit <<= 1 {
 		dst := (me - bit + p) % p
 		src := (me + bit) % p
 		n := minInt(have, p-have) // blocks still missing may be fewer
-		m := a.R.Sendrecv(dst, a.Tag+bit, clonev(blocks[:n*a.Count]), a.Bytes(n*a.Count), src, a.Tag+bit)
-		copy(blocks[have*a.Count:have*a.Count+len(m.Data)], m.Data)
+		m := a.R.Sendrecv(dst, a.Tag+bit, clonev(seg(blocks, 0, n*a.Count)), a.Bytes(n*a.Count), src, a.Tag+bit)
+		copy(seg(blocks, have*a.Count, (have+n)*a.Count), m.Data)
 		have += n
 	}
 	// Unrotate: blocks[k] belongs to rank (me+k) mod p.
-	res := make([]float64, p*a.Count)
+	res := newLike(a.Data, p*a.Count)
 	for k := 0; k < p; k++ {
-		real := (me + k) % p
-		copy(res[real*a.Count:(real+1)*a.Count], blocks[k*a.Count:(k+1)*a.Count])
+		copy(chunk(a, res, (me+k)%p), chunk(a, blocks, k))
 	}
 	chargeCopy(a, p*a.Count)
 	return res, nil
@@ -232,18 +230,18 @@ func allgatherRecursiveDoubling(a *Args) ([]float64, error) {
 	if p&(p-1) != 0 {
 		return allgatherRing(a)
 	}
-	res := make([]float64, p*a.Count)
-	copy(res[me*a.Count:(me+1)*a.Count], a.Data)
+	res := newLike(a.Data, p*a.Count)
+	copy(chunk(a, res, me), a.Data)
 	haveLo, haveHi := me, me+1
 	for b := 1; b < p; b <<= 1 {
 		peer := me ^ b
 		lo, hi := haveLo*a.Count, haveHi*a.Count
-		m := a.R.Sendrecv(peer, a.Tag+b, clonev(res[lo:hi]), a.Bytes(hi-lo), peer, a.Tag+b)
+		m := a.R.Sendrecv(peer, a.Tag+b, clonev(seg(res, lo, hi)), a.Bytes(hi-lo), peer, a.Tag+b)
 		if peer < me {
-			copy(res[(haveLo-b)*a.Count:(haveLo-b)*a.Count+len(m.Data)], m.Data)
+			copy(seg(res, (haveLo-b)*a.Count, haveLo*a.Count), m.Data)
 			haveLo -= b
 		} else {
-			copy(res[haveHi*a.Count:haveHi*a.Count+len(m.Data)], m.Data)
+			copy(seg(res, haveHi*a.Count, (haveHi+b)*a.Count), m.Data)
 			haveHi += b
 		}
 	}
@@ -256,14 +254,14 @@ func allgatherRing(a *Args) ([]float64, error) {
 		return nil, err
 	}
 	p, me := a.size(), a.me()
-	res := make([]float64, p*a.Count)
-	copy(res[me*a.Count:(me+1)*a.Count], a.Data)
+	res := newLike(a.Data, p*a.Count)
+	copy(chunk(a, res, me), a.Data)
 	next, prev := (me+1)%p, (me-1+p)%p
 	cur := me
 	for s := 0; s < p-1; s++ {
-		m := a.R.Sendrecv(next, a.Tag+s, clonev(res[cur*a.Count:(cur+1)*a.Count]), a.Bytes(a.Count), prev, a.Tag+s)
+		m := a.R.Sendrecv(next, a.Tag+s, clonev(chunk(a, res, cur)), a.Bytes(a.Count), prev, a.Tag+s)
 		cur = (cur - 1 + p) % p
-		copy(res[cur*a.Count:cur*a.Count+len(m.Data)], m.Data)
+		copy(chunk(a, res, cur), m.Data)
 	}
 	return res, nil
 }

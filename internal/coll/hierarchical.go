@@ -47,7 +47,7 @@ func allreduceTwoLevel(a *Args) ([]float64, error) {
 			src := v | bit
 			if src < nLocal {
 				m := a.R.Recv(nodeLo+src, a.Tag)
-				accumulate(a, buf, m.Data)
+				accumulate(a, buf, m.Data, a.Count)
 			}
 		}
 	}
@@ -65,7 +65,7 @@ func allreduceTwoLevel(a *Args) ([]float64, error) {
 				a.R.Send(toReal(leaderRank+1), a.Tag+1, buf, a.Bytes(a.Count))
 			} else {
 				m := a.R.Recv(toReal(leaderRank-1), a.Tag+1)
-				accumulate(a, buf, m.Data)
+				accumulate(a, buf, m.Data, a.Count)
 				newRank = leaderRank / 2
 			}
 		} else {
@@ -81,7 +81,7 @@ func allreduceTwoLevel(a *Args) ([]float64, error) {
 			for b := 1; b < pof2; b <<= 1 {
 				peer := toGroupReal(newRank ^ b)
 				m := a.R.Sendrecv(peer, a.Tag+2, clonev(buf), a.Bytes(a.Count), peer, a.Tag+2)
-				accumulate(a, buf, m.Data)
+				accumulate(a, buf, m.Data, a.Count)
 			}
 		}
 		if leaderRank < 2*rem {
@@ -131,29 +131,32 @@ func allgatherNeighborExchange(a *Args) ([]float64, error) {
 	if p%2 != 0 {
 		return allgatherRing(a)
 	}
-	res := make([]float64, p*a.Count)
-	copy(res[me*a.Count:(me+1)*a.Count], a.Data)
+	res := newLike(a.Data, p*a.Count)
+	copy(chunk(a, res, me), a.Data)
 
 	even := me%2 == 0
 	right := (me + 1) % p
 	left := (me - 1 + p) % p
-	// Messages carry their block ids in-band ([id0, id1, payload...]); the
-	// header floats are bookkeeping and are not charged as wire bytes.
+	// Messages carry their block ids in-band ([id0, id1, payload...]; timing
+	// mode sends the ids alone); the ids are bookkeeping and are not charged
+	// as wire bytes.
 	pack := func(blocks []int) []float64 {
-		out := make([]float64, 0, len(blocks)*(a.Count+1))
+		out := make([]float64, 0, len(blocks))
 		for _, b := range blocks {
 			out = append(out, float64(b))
-			out = append(out, res[b*a.Count:(b+1)*a.Count]...)
+		}
+		for _, b := range blocks {
+			out = append(out, chunk(a, res, b)...)
 		}
 		return out
 	}
 	unpack := func(data []float64, nBlocks int) []int {
-		ids := make([]int, 0, nBlocks)
-		for i := 0; i < nBlocks; i++ {
-			off := i * (a.Count + 1)
-			b := int(data[off])
-			copy(res[b*a.Count:(b+1)*a.Count], data[off+1:off+1+a.Count])
-			ids = append(ids, b)
+		ids := make([]int, nBlocks)
+		for i := range ids {
+			ids[i] = int(data[i])
+			if res != nil {
+				copy(chunk(a, res, ids[i]), chunk(a, data[nBlocks:], i))
+			}
 		}
 		return ids
 	}

@@ -47,7 +47,7 @@ func reduceLinear(a *Args) ([]float64, error) {
 	}
 	for _, q := range reqs {
 		m := q.Wait()
-		accumulate(a, res, m.Data)
+		accumulate(a, res, m.Data, a.Count)
 	}
 	return res, nil
 }
@@ -80,10 +80,10 @@ func treeReduceSegmented(a *Args, t tree, segDefault int) ([]float64, error) {
 		}
 		for ci := range t.children {
 			m := recvs[ci][s].Wait()
-			accumulate(a, res[lo:hi], m.Data)
+			accumulate(a, seg(res, lo, hi), m.Data, hi-lo)
 		}
 		if t.parent >= 0 {
-			sendReqs = append(sendReqs, a.R.Isend(t.parent, a.Tag+s, clonev(res[lo:hi]), a.Bytes(hi-lo)))
+			sendReqs = append(sendReqs, a.R.Isend(t.parent, a.Tag+s, clonev(seg(res, lo, hi)), a.Bytes(hi-lo)))
 		}
 	}
 	waitall(sendReqs)
@@ -222,7 +222,7 @@ func reduceHalvingGather(a *Args, linearGather bool) ([]float64, error) {
 			a.R.Send(me+1, a.Tag, buf, a.Bytes(a.Count))
 		} else {
 			m := a.R.Recv(me-1, a.Tag)
-			accumulate(a, buf, m.Data)
+			accumulate(a, buf, m.Data, a.Count)
 			newRank = me / 2
 		}
 	} else {
@@ -265,8 +265,8 @@ func reduceHalvingGather(a *Args, linearGather bool) ([]float64, error) {
 			}
 			sb, se := bounds[sendLo], bounds[sendHi]
 			kb, ke := bounds[keepLo], bounds[keepHi]
-			m := a.R.Sendrecv(peer, a.Tag+1, clonev(buf[sb:se]), a.Bytes(se-sb), peer, a.Tag+1)
-			accumulate(a, buf[kb:ke], m.Data)
+			m := a.R.Sendrecv(peer, a.Tag+1, clonev(seg(buf, sb, se)), a.Bytes(se-sb), peer, a.Tag+1)
+			accumulate(a, seg(buf, kb, ke), m.Data, ke-kb)
 			maskLo, maskHi = keepLo, keepHi
 		}
 	}
@@ -327,13 +327,13 @@ func rabGather(a *Args, buf []float64, newRank, rem, pof2 int, bounds []int, tag
 			for i, q := range reqs {
 				g := i + 1
 				m := q.Wait()
-				copy(res[bounds[g]:bounds[g+1]], m.Data)
+				copy(seg(res, bounds[g], bounds[g+1]), m.Data)
 			}
 			return deliver(res)
 		}
 		lo, hi := bounds[newRank], bounds[newRank+1]
 		if hi > lo {
-			a.R.Send(real0, tag, clonev(buf[lo:hi]), a.Bytes(hi-lo))
+			a.R.Send(real0, tag, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo))
 		}
 		return deliver(nil)
 	}
@@ -346,17 +346,14 @@ func rabGather(a *Args, buf []float64, newRank, rem, pof2 int, bounds []int, tag
 		if v&bit != 0 {
 			dst := toReal(v ^ bit)
 			lo, hi := bounds[v], bounds[hiChunk]
-			a.R.Send(dst, tag, clonev(buf[lo:hi]), a.Bytes(hi-lo))
+			a.R.Send(dst, tag, clonev(seg(buf, lo, hi)), a.Bytes(hi-lo))
 			return deliver(nil)
 		}
 		src := v | bit
 		if src < pof2 {
 			m := a.R.Recv(toReal(src), tag)
-			copy(buf[bounds[src]:bounds[src]+len(m.Data)], m.Data)
-			hiChunk = src + bit
-			if hiChunk > pof2 {
-				hiChunk = pof2
-			}
+			hiChunk = minInt(src+bit, pof2)
+			copy(seg(buf, bounds[src], bounds[hiChunk]), m.Data)
 		}
 	}
 	// Only group rank 0 reaches here with the full vector.

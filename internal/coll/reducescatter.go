@@ -25,7 +25,7 @@ func checkReduceScatterArgs(a *Args) error {
 	if a.Count <= 0 {
 		return fmt.Errorf("coll: count must be positive, got %d", a.Count)
 	}
-	if len(a.Data) != a.Count*a.size() {
+	if a.Data != nil && len(a.Data) != a.Count*a.size() {
 		return fmt.Errorf("coll: rank %d reduce_scatter data length %d != count*p = %d",
 			a.me(), len(a.Data), a.Count*a.size())
 	}
@@ -40,7 +40,7 @@ func reduceScatterNonOverlapping(a *Args) ([]float64, error) {
 	}
 	p := a.size()
 	if p == 1 {
-		out := clonev(a.Data[:a.Count])
+		out := clonev(seg(a.Data, 0, a.Count))
 		chargeReduce(a, a.Count)
 		return out, nil
 	}
@@ -65,7 +65,7 @@ func reduceScatterRecursiveHalving(a *Args) ([]float64, error) {
 	}
 	p, me := a.size(), a.me()
 	if p == 1 {
-		out := clonev(a.Data[:a.Count])
+		out := clonev(seg(a.Data, 0, a.Count))
 		chargeReduce(a, a.Count)
 		return out, nil
 	}
@@ -80,7 +80,7 @@ func reduceScatterRecursiveHalving(a *Args) ([]float64, error) {
 			a.R.Send(me+1, a.Tag, buf, a.Bytes(total))
 		} else {
 			m := a.R.Recv(me-1, a.Tag)
-			accumulate(a, buf, m.Data)
+			accumulate(a, buf, m.Data, total)
 			newRank = me / 2
 		}
 	} else {
@@ -123,8 +123,8 @@ func reduceScatterRecursiveHalving(a *Args) ([]float64, error) {
 			}
 			sb, se := bounds[sendLo], bounds[sendHi]
 			kb, ke := bounds[keepLo], bounds[keepHi]
-			m := a.R.Sendrecv(peer, a.Tag+1, clonev(buf[sb:se]), a.Bytes(se-sb), peer, a.Tag+1)
-			accumulate(a, buf[kb:ke], m.Data)
+			m := a.R.Sendrecv(peer, a.Tag+1, clonev(seg(buf, sb, se)), a.Bytes(se-sb), peer, a.Tag+1)
+			accumulate(a, seg(buf, kb, ke), m.Data, ke-kb)
 			maskLo, maskHi = keepLo, keepHi
 		}
 	}
@@ -145,10 +145,10 @@ func reduceScatterRecursiveHalving(a *Args) ([]float64, error) {
 			if r == me {
 				continue // handled locally below
 			}
-			sends = append(sends, a.R.Isend(r, redistTag+olo%tagSpan8(), clonev(buf[olo:ohi]), a.Bytes(ohi-olo)))
+			sends = append(sends, a.R.Isend(r, redistTag+olo%tagSpan8(), clonev(seg(buf, olo, ohi)), a.Bytes(ohi-olo)))
 		}
 	}
-	out := make([]float64, a.Count)
+	out := newLike(a.Data, a.Count)
 	blo, bhi := me*a.Count, (me+1)*a.Count
 	// Collect the pieces of my block from their owners (including myself).
 	for g := 0; g < pof2; g++ {
@@ -158,11 +158,11 @@ func reduceScatterRecursiveHalving(a *Args) ([]float64, error) {
 		}
 		owner := toReal(g)
 		if owner == me {
-			copy(out[olo-blo:ohi-blo], buf[olo:ohi])
+			copy(seg(out, olo-blo, ohi-blo), seg(buf, olo, ohi))
 			continue
 		}
 		m := a.R.Recv(owner, redistTag+olo%tagSpan8())
-		copy(out[olo-blo:ohi-blo], m.Data)
+		copy(seg(out, olo-blo, ohi-blo), m.Data)
 	}
 	waitall(sends)
 	return out, nil
@@ -179,7 +179,7 @@ func reduceScatterRing(a *Args) ([]float64, error) {
 	}
 	p, me := a.size(), a.me()
 	if p == 1 {
-		out := clonev(a.Data[:a.Count])
+		out := clonev(seg(a.Data, 0, a.Count))
 		chargeReduce(a, a.Count)
 		return out, nil
 	}
@@ -194,8 +194,8 @@ func reduceScatterRing(a *Args) ([]float64, error) {
 		rc := (me - s - 2 + p) % p
 		sLo := sc * a.Count
 		rLo := rc * a.Count
-		m := a.R.Sendrecv(next, a.Tag+s, clonev(buf[sLo:sLo+a.Count]), a.Bytes(a.Count), prev, a.Tag+s)
-		accumulate(a, buf[rLo:rLo+a.Count], m.Data)
+		m := a.R.Sendrecv(next, a.Tag+s, clonev(seg(buf, sLo, sLo+a.Count)), a.Bytes(a.Count), prev, a.Tag+s)
+		accumulate(a, seg(buf, rLo, rLo+a.Count), m.Data, a.Count)
 	}
-	return clonev(buf[me*a.Count : (me+1)*a.Count]), nil
+	return clonev(chunk(a, buf, me)), nil
 }

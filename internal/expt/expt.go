@@ -22,8 +22,11 @@ import (
 // SizeToCount converts a wire message size in bytes to (count, elemSize).
 // Sizes below 8 B become a single small element; moderate sizes use 8-byte
 // elements; large sizes cap the element count at 128 and grow the element
-// size instead, so the simulator does not shuffle megabytes of real payload
-// around for timing studies (wire cost depends only on count*elemSize).
+// size instead. Wire cost depends only on count*elemSize, but the split is
+// part of every schedule: segment counts, chunk boundaries and the
+// count-below-ranks fallbacks are computed in elements. Changing the
+// mapping would therefore change makespans (and every compiled table), so
+// it stays even though selection runs in timing mode and holds no payload.
 func SizeToCount(bytes int) (count, elemSize int) {
 	if bytes < 8 {
 		return 1, bytes

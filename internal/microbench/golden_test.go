@@ -69,11 +69,6 @@ func goldenCases() []goldenCase {
 	sim := netmodel.SimCluster()
 	hydra := netmodel.Hydra()
 
-	collectives := []coll.Collective{
-		coll.Reduce, coll.Allreduce, coll.Alltoall, coll.Bcast,
-		coll.Allgather, coll.Gather, coll.Scatter, coll.Barrier,
-		coll.ReduceScatter, coll.Alltoallv,
-	}
 	procsCross := []int{5, 8}
 	countCross := []int{8, 512} // x ElemSize 8 = 64 B, 4 KiB
 	shapes := []pattern.Shape{pattern.NoDelay, pattern.Ascending, pattern.Random, pattern.LastDelayed}
@@ -88,7 +83,7 @@ func goldenCases() []goldenCase {
 	// The main cross: every Table II algorithm, simulation mode (perfect
 	// clocks, no noise) on SimCluster, so the pinned bits isolate the
 	// kernel, transport, and collective schedules themselves.
-	for _, c := range collectives {
+	for _, c := range allCollectives {
 		for _, al := range coll.TableII(c) {
 			for _, procs := range procsCross {
 				for _, count := range countCross {
@@ -191,7 +186,9 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenEntry {
 }
 
 // TestGoldenMakespans replays the corpus and requires bit-exact agreement
-// with the committed snapshot.
+// with the committed snapshot, in data mode (the corpus's Validate) and
+// again in timing mode, which must reproduce the same bits without moving
+// a payload.
 func TestGoldenMakespans(t *testing.T) {
 	cases := goldenCases()
 
@@ -250,23 +247,27 @@ func TestGoldenMakespans(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden entry for %s (regenerate with -update-golden)", gc.key)
 			}
-			got := runGoldenCase(t, gc)
-			if len(got.Reps) != len(wantE.Reps) {
-				t.Fatalf("rep count %d, want %d", len(got.Reps), len(wantE.Reps))
-			}
-			for i := range got.Reps {
-				if got.Reps[i].TotalBits != wantE.Reps[i].TotalBits {
-					t.Errorf("rep %d total delay %v (bits %s), want %v (bits %s)",
-						i, got.Reps[i].Total, got.Reps[i].TotalBits, wantE.Reps[i].Total, wantE.Reps[i].TotalBits)
+			for _, validate := range []bool{true, false} {
+				mode := gc
+				mode.cfg.Validate = validate
+				got := runGoldenCase(t, mode)
+				if len(got.Reps) != len(wantE.Reps) {
+					t.Fatalf("validate=%v: rep count %d, want %d", validate, len(got.Reps), len(wantE.Reps))
 				}
-				if got.Reps[i].LastBits != wantE.Reps[i].LastBits {
-					t.Errorf("rep %d last delay %v (bits %s), want %v (bits %s)",
-						i, got.Reps[i].Last, got.Reps[i].LastBits, wantE.Reps[i].Last, wantE.Reps[i].LastBits)
+				for i := range got.Reps {
+					if got.Reps[i].TotalBits != wantE.Reps[i].TotalBits {
+						t.Errorf("validate=%v: rep %d total delay %v (bits %s), want %v (bits %s)",
+							validate, i, got.Reps[i].Total, got.Reps[i].TotalBits, wantE.Reps[i].Total, wantE.Reps[i].TotalBits)
+					}
+					if got.Reps[i].LastBits != wantE.Reps[i].LastBits {
+						t.Errorf("validate=%v: rep %d last delay %v (bits %s), want %v (bits %s)",
+							validate, i, got.Reps[i].Last, got.Reps[i].LastBits, wantE.Reps[i].Last, wantE.Reps[i].LastBits)
+					}
 				}
-			}
-			if got.Retransmits != wantE.Retransmits || got.Drops != wantE.Drops {
-				t.Errorf("retransmits/drops %d/%d, want %d/%d",
-					got.Retransmits, got.Drops, wantE.Retransmits, wantE.Drops)
+				if got.Retransmits != wantE.Retransmits || got.Drops != wantE.Drops {
+					t.Errorf("validate=%v: retransmits/drops %d/%d, want %d/%d",
+						validate, got.Retransmits, got.Drops, wantE.Retransmits, wantE.Drops)
+				}
 			}
 		})
 	}

@@ -15,7 +15,6 @@ package microbench
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"collsel/internal/clocksync"
 	"collsel/internal/coll"
@@ -54,9 +53,11 @@ type Config struct {
 	// PerfectClocks/NoNoise force simulation-mode behaviour on any platform.
 	PerfectClocks bool
 	NoNoise       bool
-	// Validate cross-checks the collective's payload results against the
-	// expected semantics on every repetition (reduce sums, alltoall
-	// transposition) and fails the run on mismatch.
+	// Validate runs the collective in data mode and cross-checks its
+	// payload results against the expected semantics on every repetition
+	// (reduce sums, alltoall transposition), failing the run on mismatch.
+	// Without it the collective runs in timing mode: the same schedule and
+	// the same metrics, with no payload allocated or moved.
 	Validate bool
 	// Faults configures deterministic fault injection (message drops with
 	// retransmission, link degradation, stragglers, crashes); the zero
@@ -98,6 +99,11 @@ type Result struct {
 	// run (all repetitions); both are 0 without fault injection.
 	Retransmits int64
 	Drops       int64
+	// WireMessages and WireBytes count every point-to-point message the run
+	// sent and the wire bytes it was charged, harmonization included; they
+	// are the same in timing and data mode.
+	WireMessages int64
+	WireBytes    int64
 }
 
 // MsgBytes returns the wire size of the benchmarked message.
@@ -170,53 +176,19 @@ func Run(cfg Config) (Result, error) {
 		patName = pattern.NoDelay.String()
 	}
 
-	// bs.bufs[i] is rank i's input buffer and bs.arenas[i] its result/scratch
-	// arena (coll.Args.Arena); the whole set travels through bufSetPool from
-	// world to world, carrying its fill watermarks with it (see bufSet).
-	bs := bufSetGet(cfg.Procs)
+	// Alltoallv runs with uniform counts, equivalent to a regular alltoall
+	// of Count each; the slice is read-only, so all ranks share it.
+	var counts []int
+	if cfg.Algorithm.Coll == coll.Alltoallv {
+		counts = make([]int, cfg.Procs)
+		for i := range counts {
+			counts[i] = cfg.Count
+		}
+	}
 	runErr := w.Run(func(r *mpi.Rank) {
-		// Each rank reuses one input buffer across repetitions AND across
-		// worlds: algorithms treat Args.Data as read-only, the rep-N+1
-		// harmonize barrier cannot complete before every rank has finished
-		// validating rep N, and the fill value is a function of the rank id
-		// alone — so a pooled buffer that rank i filled in a previous world
-		// is already correct for rank i here. bs.filled[i] tracks the
-		// initialized prefix; only the uninitialized suffix is ever written.
-		fill := func(n int) []float64 {
-			id := r.ID()
-			b := bs.bufs[id]
-			if cap(b) < n {
-				if b != nil {
-					old := b // stable header: b is reassigned below
-					payloadPool.Put(&old)
-				}
-				b = payloadGet(n)
-				bs.bufs[id] = b
-				bs.filled[id] = 0
-			}
-			b = b[:n]
-			v := float64(id + 1)
-			for i := bs.filled[id]; i < n; i++ {
-				b[i] = v
-			}
-			if n > bs.filled[id] {
-				bs.filled[id] = n
-			}
-			return b
-		}
-		arena := func(n int) []float64 {
-			id := r.ID()
-			b := bs.arenas[id]
-			if cap(b) < n {
-				if b != nil {
-					old := b // stable header: b is reassigned below
-					payloadPool.Put(&old)
-				}
-				b = payloadGet(n)
-				bs.arenas[id] = b
-			}
-			return b[:n]
-		}
+		// Algorithms treat their input as read-only, so one vector per rank
+		// serves every repetition.
+		in := input(cfg, r.ID())
 		// Synchronize clocks once up front, as ReproMPI+HCA3 do.
 		if cfg.Platform.Clock.Enabled && !cfg.PerfectClocks {
 			r.SyncClock(clocksync.DefaultHCAConfig())
@@ -228,7 +200,15 @@ func Run(cfg Config) (Result, error) {
 			// Apply this rank's skew: busy-wait until window + delay_i.
 			r.WaitUntilSyncedNs(window + float64(delay(r.ID())))
 			arrive[rep][r.ID()] = r.SyncedNowNs()
-			out, err := runOnce(cfg, r, fill, arena)
+			out, err := cfg.Algorithm.Run(&coll.Args{
+				R:        r,
+				Root:     cfg.Root,
+				Data:     in,
+				Count:    cfg.Count,
+				ElemSize: cfg.ElemSize,
+				Counts:   counts,
+				Tag:      coll.NextTag(r),
+			})
 			if err != nil {
 				r.Abort("collective failed: %v", err)
 			}
@@ -240,25 +220,25 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	})
-	// The world is dead: nothing references the input buffers, requests or
-	// transport events anymore (the collectives' results are copies,
-	// validated and discarded inside the rank programs), so the storage can
-	// be recycled for the next cell. Statistics stay readable after Release.
-	bufSetPool.Put(bs)
+	// The world is dead: nothing references its requests or transport
+	// events anymore, so the storage can be recycled for the next cell.
+	// Statistics stay readable after Release.
 	w.Release()
 	if runErr != nil {
 		return Result{}, runErr
 	}
 
 	res := Result{
-		Algorithm:   cfg.Algorithm,
-		Pattern:     patName,
-		Count:       cfg.Count,
-		ElemSize:    cfg.ElemSize,
-		Procs:       cfg.Procs,
-		MaxSkewNs:   cfg.Pattern.MaxSkewNs(),
-		Retransmits: w.RetransmitCount(),
-		Drops:       w.DropCount(),
+		Algorithm:    cfg.Algorithm,
+		Pattern:      patName,
+		Count:        cfg.Count,
+		ElemSize:     cfg.ElemSize,
+		Procs:        cfg.Procs,
+		MaxSkewNs:    cfg.Pattern.MaxSkewNs(),
+		Retransmits:  w.RetransmitCount(),
+		Drops:        w.DropCount(),
+		WireMessages: w.MessageCount(),
+		WireBytes:    w.ByteCount(),
 	}
 	for rep := cfg.Warmup; rep < total; rep++ {
 		minA, maxA := math.Inf(1), math.Inf(-1)
@@ -287,109 +267,38 @@ func collect(ms []RepMetrics, f func(RepMetrics) float64) []float64 {
 	return out
 }
 
-// bufSet is one world's worth of per-rank payload storage: input buffers,
-// scratch arenas and the fill watermarks. The set is pooled as a unit so
-// that buffer i always returns to rank i — and because fill writes the
-// constant float64(i+1), a recycled buffer's initialized prefix is already
-// correct for its next world, making steady-state fills (and their cache
-// traffic) vanish entirely.
-type bufSet struct {
-	bufs   [][]float64
-	arenas [][]float64
-	// filled[i] is the length of the prefix of bufs[i] known to hold the
-	// rank-i fill value; the invariant survives the simulation because
-	// collective algorithms treat Args.Data as read-only.
-	filled []int
-}
-
-var bufSetPool sync.Pool // *bufSet
-
-// bufSetGet returns a buffer set with room for procs ranks.
-func bufSetGet(procs int) *bufSet {
-	var bs *bufSet
-	if v := bufSetPool.Get(); v != nil {
-		bs = v.(*bufSet)
-	} else {
-		bs = &bufSet{}
+// input returns rank id's input vector. Without Validate it is nil on
+// every rank: the collective runs in timing mode, on sizes alone (see
+// package coll). With Validate every element is id+1, which validateResult
+// checks the outputs against; ranks that only receive (non-root Bcast and
+// Scatter, and every Barrier rank) get nil in both modes.
+func input(cfg Config, id int) []float64 {
+	if !cfg.Validate {
+		return nil
 	}
-	for len(bs.bufs) < procs {
-		bs.bufs = append(bs.bufs, nil)
-		bs.arenas = append(bs.arenas, nil)
-		bs.filled = append(bs.filled, 0)
-	}
-	return bs
-}
-
-// payloadPool recycles individual payload buffers outgrown by their bufSet
-// slot; fill overwrites the used prefix deterministically, so recycled
-// contents never leak into results.
-var payloadPool sync.Pool
-
-// payloadGet returns a buffer with capacity >= n (length n), pooled when
-// possible. Fresh buffers round their capacity up to the next power of two
-// so that a sweep over slowly growing message sizes (a decision-table
-// compile, the cold-select path) keeps hitting the pool instead of
-// discarding every buffer as one element too small.
-func payloadGet(n int) []float64 {
-	if v := payloadPool.Get(); v != nil {
-		if b := *(v.(*[]float64)); cap(b) >= n {
-			return b[:n]
-		}
-	}
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return make([]float64, n, c)
-}
-
-// runOnce prepares per-collective input data and invokes the algorithm.
-// fill returns the rank's deterministic input vector of the given length,
-// and arena an uncleared scratch/result arena (see the buffer-reuse comment
-// at the call site).
-func runOnce(cfg Config, r *mpi.Rank, fill, arena func(n int) []float64) ([]float64, error) {
-	a := &coll.Args{
-		R:        r,
-		Root:     cfg.Root,
-		Count:    cfg.Count,
-		ElemSize: cfg.ElemSize,
-		Tag:      coll.NextTag(r),
-	}
+	n := cfg.Count
 	switch cfg.Algorithm.Coll {
-	case coll.Alltoallv:
-		// Uniform counts: equivalent to a regular alltoall of Count each.
-		counts := make([]int, r.Size())
-		for i := range counts {
-			counts[i] = cfg.Count
-		}
-		a.Counts = counts
-		a.Data = fill(cfg.Count * r.Size())
-	case coll.Alltoall, coll.Scatter, coll.ReduceScatter:
-		need := cfg.Count * r.Size()
-		if cfg.Algorithm.Coll == coll.Alltoall {
-			// Result (p*Count) plus Bruck's packed rounds fit in 3x the
-			// input size for the usual process counts; when an algorithm
-			// needs more, Args.alloc falls back to the heap.
-			a.Arena = arena(3 * need)
-		}
-		if cfg.Algorithm.Coll == coll.Scatter && r.ID() != cfg.Root {
-			break
-		}
-		a.Data = fill(need)
-	case coll.Bcast:
-		if r.ID() == cfg.Root {
-			a.Data = fill(cfg.Count)
-		}
 	case coll.Barrier:
-		// no data
-	default:
-		a.Data = fill(cfg.Count)
+		return nil
+	case coll.Bcast, coll.Scatter:
+		if id != cfg.Root {
+			return nil
+		}
+		if cfg.Algorithm.Coll == coll.Scatter {
+			n *= cfg.Procs
+		}
+	case coll.Alltoall, coll.Alltoallv, coll.ReduceScatter:
+		n *= cfg.Procs
 	}
-	return cfg.Algorithm.Run(a)
+	in := make([]float64, n)
+	for i := range in {
+		in[i] = float64(id + 1)
+	}
+	return in
 }
 
 // validateResult cross-checks collective semantics for the data produced by
-// genData.
+// input.
 func validateResult(cfg Config, r *mpi.Rank, out []float64) error {
 	p := r.Size()
 	switch cfg.Algorithm.Coll {

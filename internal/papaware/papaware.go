@@ -201,7 +201,7 @@ func validateReduceArgs(a *coll.Args) error {
 	if a.Count <= 0 {
 		return fmt.Errorf("papaware: count must be positive")
 	}
-	if len(a.Data) != a.Count {
+	if a.Data != nil && len(a.Data) != a.Count {
 		return fmt.Errorf("papaware: rank %d data length %d != count %d", a.R.ID(), len(a.Data), a.Count)
 	}
 	if a.Root < 0 || a.Root >= a.R.Size() {
@@ -210,18 +210,24 @@ func validateReduceArgs(a *coll.Args) error {
 	return nil
 }
 
+// cloneVec copies v; nil (timing mode, see package coll) stays nil.
 func cloneVec(v []float64) []float64 {
+	if v == nil {
+		return nil
+	}
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
 }
 
+// accumulateVec adds src into dst and charges the reduction cost of one
+// Count-element vector; in timing mode (nil src) only the cost is charged.
 func accumulateVec(a *coll.Args, dst, src []float64) {
 	for i := range src {
 		dst[i] += src[i]
 	}
 	plat := a.R.World().Platform()
-	ns := int64(plat.ReduceNsPerByte * float64(a.Bytes(len(src))))
+	ns := int64(plat.ReduceNsPerByte * float64(a.Bytes(a.Count)))
 	if ns > 0 {
 		a.R.Compute(ns)
 	}

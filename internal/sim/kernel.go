@@ -642,22 +642,12 @@ func (k *Kernel) checkCancel(force bool) error {
 	}
 }
 
-// SetCancel installs a cooperative cancellation channel.
-//
-// Deprecated: pass WithCancel to New instead.
-func (k *Kernel) SetCancel(ch <-chan struct{}) { k.cancel = ch }
-
 // Fail aborts the simulation with err at the next scheduling point.
 func (k *Kernel) Fail(err error) {
 	if k.failure == nil {
 		k.failure = err
 	}
 }
-
-// SetDeadline installs a virtual-time watchdog at absolute virtual time t.
-//
-// Deprecated: pass WithDeadline to New instead.
-func (k *Kernel) SetDeadline(t Time) { k.deadline = t }
 
 // DeadlineError reports a watchdog abort: the next scheduled event lay
 // beyond the deadline set via WithDeadline.

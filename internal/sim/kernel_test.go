@@ -416,8 +416,7 @@ func TestDeadlockDiagnosticFoldsLongLists(t *testing.T) {
 }
 
 func TestSetDeadlineAbortsRunawaySimulation(t *testing.T) {
-	k := NewKernel()
-	k.SetDeadline(1_000)
+	k := New(WithDeadline(1_000))
 	k.Spawn("runaway", func(p *Proc) {
 		for {
 			p.Sleep(600) // keeps scheduling events past the deadline
@@ -440,8 +439,7 @@ func TestSetDeadlineAbortsRunawaySimulation(t *testing.T) {
 }
 
 func TestDeadlineNotHitWhenSimulationFinishesInTime(t *testing.T) {
-	k := NewKernel()
-	k.SetDeadline(10_000)
+	k := New(WithDeadline(10_000))
 	done := false
 	k.Spawn("quick", func(p *Proc) {
 		p.Sleep(500)
@@ -456,8 +454,7 @@ func TestDeadlineNotHitWhenSimulationFinishesInTime(t *testing.T) {
 }
 
 func TestEventExactlyAtDeadlineStillRuns(t *testing.T) {
-	k := NewKernel()
-	k.SetDeadline(1_000)
+	k := New(WithDeadline(1_000))
 	fired := false
 	k.At(1_000, func() { fired = true })
 	if err := k.Run(); err != nil {
@@ -472,8 +469,8 @@ func TestEventExactlyAtDeadlineStillRuns(t *testing.T) {
 // event chain that would otherwise run forever, and the error classifies as
 // context.Canceled.
 func TestSetCancelAbortsRun(t *testing.T) {
-	k := NewKernel()
 	cancel := make(chan struct{})
+	k := New(WithCancel(cancel))
 	events := 0
 	var step func()
 	step = func() {
@@ -484,7 +481,6 @@ func TestSetCancelAbortsRun(t *testing.T) {
 		k.After(1, step)
 	}
 	k.After(0, step)
-	k.SetCancel(cancel)
 	err := k.Run()
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v", err)
@@ -500,11 +496,14 @@ func TestSetCancelAbortsRun(t *testing.T) {
 // server canceling selections would otherwise leak goroutines per rank.
 func TestAbortUnwindsProcessGoroutines(t *testing.T) {
 	const procs = 16
-	abortsOf := map[string]func(k *Kernel) error{
-		"cancel": func(k *Kernel) error {
+	cancel := make(chan struct{})
+	abortsOf := map[string]struct {
+		opts []Option
+		run  func(k *Kernel) error
+	}{
+		"cancel": {[]Option{WithCancel(cancel)}, func(k *Kernel) error {
 			// Close the channel mid-run, once the processes are blocked,
 			// and keep the event chain alive until a poll picks it up.
-			cancel := make(chan struct{})
 			n := 0
 			var step func()
 			step = func() {
@@ -517,26 +516,24 @@ func TestAbortUnwindsProcessGoroutines(t *testing.T) {
 				}
 			}
 			k.After(0, step)
-			k.SetCancel(cancel)
 			return k.Run()
-		},
-		"fail": func(k *Kernel) error {
+		}},
+		"fail": {nil, func(k *Kernel) error {
 			k.After(5, func() { k.Fail(fmt.Errorf("boom")) })
 			return k.Run()
-		},
-		"watchdog": func(k *Kernel) error {
-			k.SetDeadline(10)
+		}},
+		"watchdog": {[]Option{WithDeadline(10)}, func(k *Kernel) error {
 			k.After(100, func() {}) // first event already past the deadline
 			return k.Run()
-		},
-		"deadlock": func(k *Kernel) error {
+		}},
+		"deadlock": {nil, func(k *Kernel) error {
 			return k.Run()
-		},
+		}},
 	}
-	for name, run := range abortsOf {
+	for name, abort := range abortsOf {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			k := NewKernel()
+			k := New(abort.opts...)
 			exited := make(chan struct{}, procs)
 			for i := 0; i < procs; i++ {
 				k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -552,7 +549,7 @@ func TestAbortUnwindsProcessGoroutines(t *testing.T) {
 					c.Wait(p, "forever") // never signaled
 				})
 			}
-			if err := run(k); err == nil {
+			if err := abort.run(k); err == nil {
 				t.Fatal("aborted run returned nil error")
 			}
 			// Every process goroutine must have unwound through its defers.

@@ -104,7 +104,8 @@ type (
 
 // Rank, Request and Message expose the MPI-like runtime surface needed to
 // implement custom collective algorithms (Send/Recv/Isend/Irecv/Sendrecv,
-// Wtime, Compute).
+// Wtime, Compute). As with MPI_Wait, Request.Wait releases the request:
+// wait each one exactly once.
 type (
 	Rank    = mpi.Rank
 	Request = mpi.Request

@@ -19,6 +19,10 @@ import (
 // Selection runs every algorithm in timing mode, with a nil a.Data: the
 // schedule and its byte counts are all that matter, so a nil payload stays
 // nil and the result is nil too.
+//
+// Wait each request exactly once. Like MPI_Wait, Request.Wait releases
+// the request and the simulator recycles it for a later operation, so a
+// second Wait on it panics.
 func spreadLinearAlltoall(a *collsel.Args) ([]float64, error) {
 	r := a.R
 	p, me := r.Size(), r.ID()

@@ -18,19 +18,25 @@ type Message struct {
 	Bytes int
 }
 
-// inMsg is an in-flight or arrived message on the receiver side.
+// inMsg is one point-to-point message, from Isend until both the sender
+// and the receiver are done with it. The same value travels as eager
+// payload, as rendezvous RTS envelope and as rendezvous data, and is what
+// a completed receive request points at.
 type inMsg struct {
 	src, dst, tag int
 	data          []float64
 	bytes         int
-	seq           int64
 	// pseq is the per-(src,dst)-pair sequence number used to enforce MPI's
 	// non-overtaking guarantee at the matching layer: with jittered link
 	// latencies, a later message may physically arrive earlier, but it must
 	// not become *matchable* before its predecessors.
 	pseq int64
-	// rndv marks an RTS envelope whose payload is still at the sender.
+	// rndv marks a rendezvous message: matching it releases the payload
+	// still at the sender.
 	rndv bool
+	// refs counts the sides (sender, receiver) still holding the message;
+	// see World.releaseMsg.
+	refs int8
 	// sendReq is the sender's request (rendezvous: completed when the data
 	// actually leaves the sender port).
 	sendReq *Request
@@ -80,24 +86,16 @@ const (
 // the value to the world's free list before acting, so handlers can
 // schedule new events without clobbering the one in flight.
 type tev struct {
-	w    *World
-	op   int
-	m    *inMsg
-	req  *Request
-	arg  int64 // transferNs for the arrive ops
-	next *tev  // free-list link
+	w   *World
+	op  int
+	m   *inMsg
+	req *Request
+	arg int64 // transferNs for the arrive ops
 }
 
 // schedule enqueues a pooled transport event at absolute virtual time at.
 func (w *World) schedule(at sim.Time, op int, m *inMsg, req *Request, arg int64) {
-	e := w.tevFree
-	if e == nil {
-		e = &tev{}
-	} else {
-		w.tevFree = e.next
-	}
-	// e.w is assigned on every use: free chains are recycled across worlds
-	// (World.Release), so a pooled tev may have been born elsewhere.
+	e := w.tevs.get()
 	e.w, e.op, e.m, e.req, e.arg = w, op, m, req, arg
 	w.K.AtTimer(at, e)
 }
@@ -105,14 +103,13 @@ func (w *World) schedule(at sim.Time, op int, m *inMsg, req *Request, arg int64)
 // Fire implements sim.Timer.
 func (e *tev) Fire(_ *sim.Kernel) {
 	w, op, m, req, arg := e.w, e.op, e.m, e.req, e.arg
-	e.m, e.req, e.next = nil, nil, w.tevFree
-	w.tevFree = e
+	w.tevs.put(e)
 	switch op {
 	case opSelfDeliver:
-		m.sendReq.complete()
+		w.sendDone(m)
 		w.deliverPayload(m)
 	case opSendComplete:
-		m.sendReq.complete()
+		w.sendDone(m)
 	case opArriveAtPort:
 		w.arriveAtPort(m, arg)
 	case opDeliver:
@@ -129,18 +126,29 @@ func (e *tev) Fire(_ *sim.Kernel) {
 	}
 }
 
-// Request represents an outstanding non-blocking operation.
+// sendDone completes m's send request and drops the sender's reference
+// to m: the buffer has been handed to the NIC (or copied locally).
+func (w *World) sendDone(m *inMsg) {
+	m.sendReq.complete()
+	m.sendReq = nil
+	w.releaseMsg(m)
+}
+
+// Request represents an outstanding non-blocking operation. Wait and
+// WaitAny release it (MPI_Wait sets the handle to MPI_REQUEST_NULL): the
+// world recycles it for a later operation, so a waited request must not be
+// used again.
 type Request struct {
 	r    *Rank // owning rank
 	done bool
-	cond sim.Cond
-	// anyCond, when non-nil, is a shared condition a WaitAny caller is
-	// blocked on; completion signals it too.
-	anyCond *sim.Cond
 	// recv state
 	isRecv   bool
 	src, tag int
 	msg      *inMsg
+	cond     sim.Cond
+	// anyCond, when non-nil, is a shared condition a WaitAny caller is
+	// blocked on; completion signals it too.
+	anyCond *sim.Cond
 }
 
 // Done reports whether the operation completed (MPI_Test semantics,
@@ -178,15 +186,18 @@ func (w *waitAnyReason) BlockReason() string {
 }
 
 // WaitAny blocks until at least one of the given requests has completed
-// and returns its index and message (MPI_Waitany). Completed requests may
-// be passed as nil to skip them; if all requests are nil, WaitAny returns
-// -1 immediately.
+// and returns its index and message (MPI_Waitany). The returned request is
+// released as by Wait: set reqs[i] to nil before the next call. nil
+// entries are skipped; if all requests are nil, WaitAny returns -1
+// immediately.
 func WaitAny(reqs []*Request) (int, Message) {
 	var r *Rank
 	for _, q := range reqs {
 		if q != nil {
+			if q.r == nil {
+				panic("mpi: WaitAny on a released request")
+			}
 			r = q.r
-			break
 		}
 	}
 	if r == nil {
@@ -214,16 +225,25 @@ func WaitAny(reqs []*Request) (int, Message) {
 	}
 }
 
-// Wait blocks until the request completes. For receives it returns the
-// received message; for sends the returned Message is zero-valued.
+// Wait blocks until the request completes and then releases it, like
+// MPI_Wait: q must not be used again, and a second Wait on it panics. For
+// receives it returns the received message; for sends the returned
+// Message is zero-valued.
 func (q *Request) Wait() Message {
+	if q.r == nil {
+		panic("mpi: Wait on a released request")
+	}
 	if !q.done {
 		q.cond.WaitWith(q.r.curProc(), q)
 	}
-	if q.isRecv && q.msg != nil {
-		return Message{Source: q.msg.src, Tag: q.msg.tag, Data: q.msg.data, Bytes: q.msg.bytes}
+	w := q.r.w
+	var msg Message
+	if m := q.msg; m != nil {
+		msg = Message{Source: m.src, Tag: m.tag, Data: m.data, Bytes: m.bytes}
+		w.releaseMsg(m)
 	}
-	return Message{}
+	w.reqs.put(q)
+	return msg
 }
 
 // Waitall waits for every request in order.
@@ -245,19 +265,24 @@ func Waitall(reqs ...*Request) []Message {
 // Passing bytes <= 0 derives the wire size from the payload (8 bytes per
 // float64); a nil payload with bytes > 0 sends a pure-timing message.
 func (r *Rank) Isend(dst, tag int, data []float64, bytes int) *Request {
+	return r.isend("Isend", dst, tag, data, bytes, false)
+}
+
+// isend starts a send; sync forces the rendezvous protocol (Issend).
+func (r *Rank) isend(op string, dst, tag int, data []float64, bytes int, sync bool) *Request {
 	if bytes <= 0 {
 		bytes = 8 * len(data)
 	}
 	w := r.w
-	req := w.newRequest()
+	req := w.reqs.get()
 	req.r = r
 	if dst < 0 || dst >= w.size {
-		r.Abort("Isend to invalid rank %d", dst)
+		r.Abort("%s to invalid rank %d", op, dst)
 		return req
 	}
-	w.msgSeq++
 	m := w.newInMsg()
-	*m = inMsg{src: r.id, dst: dst, tag: tag, data: data, bytes: bytes, seq: w.msgSeq, pseq: r.nextPseq(dst), sendReq: req}
+	m.src, m.dst, m.tag, m.data, m.bytes = r.id, dst, tag, data, bytes
+	m.pseq, m.sendReq = r.nextPseq(dst), req
 
 	if dst == r.id {
 		// Self message: local copy.
@@ -266,7 +291,7 @@ func (r *Rank) Isend(dst, tag int, data []float64, bytes int) *Request {
 		return req
 	}
 
-	if bytes > w.plat.EagerThresholdBytes {
+	if sync || bytes > w.plat.EagerThresholdBytes {
 		r.startRendezvous(m)
 	} else {
 		r.startEager(m)
@@ -339,8 +364,11 @@ func (r *Rank) sendEager(m *inMsg, attempt int) {
 }
 
 // startRendezvous sends a zero-byte RTS; data moves once the receiver has a
-// matching posted receive (handled in matchArrival / Irecv).
-func (r *Rank) startRendezvous(m *inMsg) { r.sendRTS(m, 0) }
+// matching posted receive (handled in matchOrQueue / Irecv).
+func (r *Rank) startRendezvous(m *inMsg) {
+	m.rndv = true
+	r.sendRTS(m, 0)
+}
 
 // sendRTS models one RTS transmission attempt; a dropped envelope is
 // retransmitted like an eager payload.
@@ -355,9 +383,7 @@ func (r *Rank) sendRTS(m *inMsg, attempt int) {
 		w.retryOrFail(m, attempt, rtsOut, func(next int) { r.sendRTS(m, next) })
 		return
 	}
-	rts := w.newInMsg()
-	*rts = inMsg{src: m.src, dst: m.dst, tag: m.tag, bytes: m.bytes, seq: m.seq, pseq: m.pseq, rndv: true, sendReq: m.sendReq, data: m.data}
-	w.schedule(rtsOut+lat, opDeliver, rts, nil, 0)
+	w.schedule(rtsOut+lat, opDeliver, m, nil, 0)
 }
 
 // releaseRendezvous is called on the receiver when a posted receive matches
@@ -366,8 +392,8 @@ func (r *Rank) sendRTS(m *inMsg, attempt int) {
 // the normal arrival path. The CTS is modelled as reliable (a tiny control
 // message on the reserved return path); the bulk data transfer is subject
 // to drops and retransmission.
-func (w *World) releaseRendezvous(rts *inMsg, recvReq *Request) {
-	src, dst := rts.src, rts.dst
+func (w *World) releaseRendezvous(m *inMsg, recvReq *Request) {
+	src, dst := m.src, m.dst
 	receiver := w.ranks[dst]
 	link := w.linkFor(dst, src)
 	// CTS: occupies the receiver's send port for the overhead only.
@@ -375,30 +401,28 @@ func (w *World) releaseRendezvous(rts *inMsg, recvReq *Request) {
 	ctsOut := start + w.plat.OverheadNs
 	receiver.sendBusyUntil = ctsOut
 	lat := w.noise.LatencyNs(dst, link.LatencyNs)
-	w.schedule(ctsOut+lat, opSendRndvData, rts, recvReq, 0)
+	w.schedule(ctsOut+lat, opSendRndvData, m, recvReq, 0)
 }
 
 // sendRendezvousData models one post-CTS bulk transfer attempt from the
 // sender port, as in the eager path.
-func (w *World) sendRendezvousData(rts *inMsg, recvReq *Request, attempt int) {
-	src, dst := rts.src, rts.dst
+func (w *World) sendRendezvousData(m *inMsg, recvReq *Request, attempt int) {
+	src, dst := m.src, m.dst
 	sender := w.ranks[src]
 	dlink := w.linkFor(src, dst)
 	s := maxTime(w.K.Now(), sender.sendBusyUntil)
-	sendDone := s + w.plat.OverheadNs + dlink.TransferNs(rts.bytes)
+	sendDone := s + w.plat.OverheadNs + dlink.TransferNs(m.bytes)
 	sender.sendBusyUntil = sendDone
 	dlat := w.noise.LatencyNs(src, dlink.LatencyNs)
 	firstByteAt := s + w.plat.OverheadNs + dlat
 	if attempt == 0 {
-		w.schedule(sendDone, opSendComplete, rts, nil, 0)
+		w.schedule(sendDone, opSendComplete, m, nil, 0)
 	}
-	if w.fault.Drop(src, dst, rts.pseq, fault.ChannelData, attempt) {
-		w.retryOrFail(rts, attempt, sendDone, func(next int) { w.sendRendezvousData(rts, recvReq, next) })
+	if w.fault.Drop(src, dst, m.pseq, fault.ChannelData, attempt) {
+		w.retryOrFail(m, attempt, sendDone, func(next int) { w.sendRendezvousData(m, recvReq, next) })
 		return
 	}
-	data := w.newInMsg()
-	*data = inMsg{src: src, dst: dst, tag: rts.tag, data: rts.data, bytes: rts.bytes, seq: rts.seq}
-	w.schedule(firstByteAt, opArriveToRequest, data, recvReq, dlink.TransferNs(rts.bytes))
+	w.schedule(firstByteAt, opArriveToRequest, m, recvReq, dlink.TransferNs(m.bytes))
 }
 
 // arriveAtPort serializes the message through the receiver's ejection port
@@ -480,7 +504,7 @@ func (w *World) chargeMatch(dst *Rank, entries int) {
 // Irecv posts a non-blocking receive for a message from src with tag.
 func (r *Rank) Irecv(src, tag int) *Request {
 	w := r.w
-	req := w.newRequest()
+	req := w.reqs.get()
 	req.r, req.isRecv, req.src, req.tag = r, true, src, tag
 	if src < 0 || src >= w.size {
 		r.Abort("Irecv from invalid rank %d", src)
@@ -511,26 +535,7 @@ func (r *Rank) Irecv(src, tag int) *Request {
 // complete before the receiver has posted a matching receive. Open MPI's
 // "linear with sync" alltoall relies on this mode.
 func (r *Rank) Issend(dst, tag int, data []float64, bytes int) *Request {
-	if bytes <= 0 {
-		bytes = 8 * len(data)
-	}
-	w := r.w
-	req := w.newRequest()
-	req.r = r
-	if dst < 0 || dst >= w.size {
-		r.Abort("Issend to invalid rank %d", dst)
-		return req
-	}
-	w.msgSeq++
-	m := w.newInMsg()
-	*m = inMsg{src: r.id, dst: dst, tag: tag, data: data, bytes: bytes, seq: w.msgSeq, pseq: r.nextPseq(dst), sendReq: req}
-	if dst == r.id {
-		cost := int64(float64(bytes) * w.plat.CopyNsPerByte)
-		w.schedule(w.K.Now()+cost, opSelfDeliver, m, nil, 0)
-		return req
-	}
-	r.startRendezvous(m)
-	return req
+	return r.isend("Issend", dst, tag, data, bytes, true)
 }
 
 // Send is a blocking send (completes when the buffer may be reused).

@@ -33,20 +33,15 @@ type World struct {
 	fault  *fault.Plan // nil = no fault injection
 	ranks  []*Rank
 	size   int
-	msgSeq int64
 
-	// tevFree is the free list of pooled transport events; steady-state
-	// message flow recycles these instead of allocating per event.
-	tevFree *tev
-	// reqArena and msgArena are bump allocators for Requests and inMsgs:
-	// both are small, world-lifetime objects created once per message, so
-	// chunked allocation cuts the per-message allocation count without any
-	// reuse hazards. reqChunks/msgChunks track the chunk backing arrays so
-	// Release can recycle them process-wide.
-	reqArena  []Request
-	msgArena  []inMsg
-	reqChunks [][]Request
-	msgChunks [][]inMsg
+	// tevs, reqs and msgs recycle transport events, Requests and inMsgs.
+	// A transport event returns when it fires, a Request when Wait
+	// releases it, an inMsg once both its sender and its receiver are done
+	// with it (releaseMsg). Each list therefore holds as many entries as
+	// were ever in flight at once, not one per message.
+	tevs *freeList[tev]
+	reqs *freeList[Request]
+	msgs *freeList[inMsg]
 	// fifoBacking and pseqBacking are size*size slabs carved into per-rank
 	// slices on first use (Rank.pairFIFO / Rank.nextPseq); pooling the slab
 	// replaces size allocations per world with one pool hit.
@@ -60,19 +55,44 @@ type World struct {
 	drops         int64
 }
 
-// arenaChunk is the bump-allocator chunk size for Requests and inMsgs.
-const arenaChunk = 64
-
-// reqChunkPool and msgChunkPool recycle arena chunks across worlds; chunks
-// are zeroed before they are pooled (Release), so a recycled chunk is
-// indistinguishable from a fresh allocation.
+// Pools recycling per-world storage across worlds (Release); the free
+// lists hold zeroed entries, the slabs are zeroed before they are pooled.
 var (
-	reqChunkPool sync.Pool // *[]Request
-	msgChunkPool sync.Pool // *[]inMsg
-	tevChainPool sync.Pool // *tev (head of a zeroed free chain)
-	fifoSlabPool sync.Pool // *[]pairFIFO, zeroed
-	pseqSlabPool sync.Pool // *[]int64, zeroed
+	tevListPool  sync.Pool // *freeList[tev]
+	reqListPool  sync.Pool // *freeList[Request]
+	msgListPool  sync.Pool // *freeList[inMsg]
+	fifoSlabPool sync.Pool // *[]pairFIFO
+	pseqSlabPool sync.Pool // *[]int64
 )
+
+// freeList is a LIFO stack of zeroed values for reuse.
+type freeList[T any] struct{ items []*T }
+
+// pooledList returns a free list from pool, or a new empty one.
+func pooledList[T any](pool *sync.Pool) *freeList[T] {
+	if v := pool.Get(); v != nil {
+		return v.(*freeList[T])
+	}
+	return new(freeList[T])
+}
+
+// get returns a zeroed value, recycled if one is free.
+func (f *freeList[T]) get() *T {
+	n := len(f.items)
+	if n == 0 {
+		return new(T)
+	}
+	x := f.items[n-1]
+	f.items = f.items[:n-1]
+	return x
+}
+
+// put zeroes x and pushes it for reuse.
+func (f *freeList[T]) put(x *T) {
+	var zero T
+	*x = zero
+	f.items = append(f.items, x)
+}
 
 // fifoSlab returns rank's size-wide slice of the world's reorder-FIFO slab.
 func (w *World) fifoSlab(rank int) []pairFIFO {
@@ -100,58 +120,33 @@ func (w *World) pseqSlab(rank int) []int64 {
 	return w.pseqBacking[rank*w.size : (rank+1)*w.size]
 }
 
-// newRequest returns a zeroed Request from the world's arena.
-func (w *World) newRequest() *Request {
-	if len(w.reqArena) == 0 {
-		var c []Request
-		if v := reqChunkPool.Get(); v != nil {
-			c = *(v.(*[]Request))
-		} else {
-			c = make([]Request, arenaChunk)
-		}
-		w.reqChunks = append(w.reqChunks, c)
-		w.reqArena = c
-	}
-	q := &w.reqArena[0]
-	w.reqArena = w.reqArena[1:]
-	return q
-}
-
-// newInMsg returns an uninitialized inMsg from the world's arena; callers
-// assign the full struct.
+// newInMsg returns a zeroed inMsg holding a reference for each side,
+// sender and receiver.
 func (w *World) newInMsg() *inMsg {
-	if len(w.msgArena) == 0 {
-		var c []inMsg
-		if v := msgChunkPool.Get(); v != nil {
-			c = *(v.(*[]inMsg))
-		} else {
-			c = make([]inMsg, arenaChunk)
-		}
-		w.msgChunks = append(w.msgChunks, c)
-		w.msgArena = c
-	}
-	m := &w.msgArena[0]
-	w.msgArena = w.msgArena[1:]
+	m := w.msgs.get()
+	m.refs = 2
 	return m
 }
 
-// Release returns the world's message/request arenas, transport-event free
-// list and kernel event storage to process-wide pools. Call it only once
-// the simulation is finished and every Message obtained from it has been
+// releaseMsg drops one side's reference to m: the sender's once its last
+// byte has left the send port, the receiver's once Wait has copied the
+// message out. The second release returns m to the world's free list.
+func (w *World) releaseMsg(m *inMsg) {
+	if m.refs--; m.refs > 0 {
+		return
+	}
+	w.msgs.put(m)
+}
+
+// Release returns the world's free lists, reorder and sequence slabs and
+// kernel event storage to process-wide pools. Call it only once the
+// simulation is finished and every Message obtained from it has been
 // consumed; statistics (MessageCount, DropCount, ...) remain readable.
 func (w *World) Release() {
-	for _, c := range w.reqChunks {
-		c := c
-		clear(c)
-		reqChunkPool.Put(&c)
-	}
-	w.reqChunks, w.reqArena = nil, nil
-	for _, c := range w.msgChunks {
-		c := c
-		clear(c)
-		msgChunkPool.Put(&c)
-	}
-	w.msgChunks, w.msgArena = nil, nil
+	tevListPool.Put(w.tevs)
+	reqListPool.Put(w.reqs)
+	msgListPool.Put(w.msgs)
+	w.tevs, w.reqs, w.msgs = nil, nil, nil
 	if w.fifoBacking != nil {
 		b := w.fifoBacking
 		clear(b)
@@ -163,16 +158,6 @@ func (w *World) Release() {
 		clear(b)
 		pseqSlabPool.Put(&b)
 		w.pseqBacking = nil
-	}
-	if w.tevFree != nil {
-		for e := w.tevFree; ; e = e.next {
-			e.w, e.m, e.req, e.op, e.arg = nil, nil, nil, 0, 0
-			if e.next == nil {
-				break
-			}
-		}
-		tevChainPool.Put(w.tevFree)
-		w.tevFree = nil
 	}
 	w.K.Release()
 }
@@ -229,9 +214,9 @@ func NewWorld(cfg Config) (*World, error) {
 		plat: p,
 		size: cfg.Size,
 	}
-	if v := tevChainPool.Get(); v != nil {
-		w.tevFree = v.(*tev)
-	}
+	w.tevs = pooledList[tev](&tevListPool)
+	w.reqs = pooledList[Request](&reqListPool)
+	w.msgs = pooledList[inMsg](&msgListPool)
 	if cfg.NoNoise || !p.Noise.Enabled {
 		w.noise = noise.Inert(cfg.Size)
 	} else {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -281,27 +282,40 @@ func TestCacheLRUUnboundedWhenCapZero(t *testing.T) {
 
 // TestMapCancelStopsRunningCell: cancellation must reach *inside* a running
 // simulation (cooperative kernel checks), not just skip unstarted cells.
-// A huge cell that would take many seconds is canceled shortly after it
-// starts; Map must return well before the cell could have finished.
+// The cell's algorithm exchanges messages around a ring 1<<30 times — hours
+// of simulation at any plausible simulator speed — and signals once a rank
+// has entered it; the test cancels only then, so the cell has provably
+// started and cannot have finished. Map must return promptly.
 func TestMapCancelStopsRunningCell(t *testing.T) {
-	al, ok := coll.ByID(coll.Alltoall, 3) // bruck
-	if !ok {
-		t.Fatal("no alltoall algorithm 3")
+	started := make(chan struct{})
+	var once sync.Once
+	endless := coll.Algorithm{
+		Coll: coll.Alltoall,
+		Name: "endless-ring",
+		Run: func(a *coll.Args) ([]float64, error) {
+			once.Do(func() { close(started) })
+			p, me := a.R.Size(), a.R.ID()
+			for i := 0; i < 1<<30; i++ {
+				a.R.Sendrecv((me+1)%p, a.Tag, nil, 8, (me+p-1)%p, a.Tag)
+			}
+			return nil, nil
+		},
 	}
 	cell := Cell{
-		Label: "huge",
+		Label: "endless",
 		Config: microbench.Config{
 			Platform:      netmodel.SimCluster(),
 			Procs:         8,
 			Seed:          1,
-			Algorithm:     al,
-			Count:         1 << 14,
-			Reps:          200, // far more work than any test should do
+			Algorithm:     endless,
+			Count:         16,
+			Reps:          1,
 			PerfectClocks: true,
 			NoNoise:       true,
 		},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	eng := New(WithWorkers(1))
 	done := make(chan error, 1)
 	start := time.Now()
@@ -309,7 +323,13 @@ func TestMapCancelStopsRunningCell(t *testing.T) {
 		_, err := eng.Map(ctx, []Cell{cell})
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the simulation start
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("Map returned %v before the cell started", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("cell did not start")
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -324,8 +344,11 @@ func TestMapCancelStopsRunningCell(t *testing.T) {
 	// The engine stays usable after a cancellation: a fresh (tiny) cell on a
 	// live context computes cleanly. (Key-level non-poisoning is covered by
 	// TestCacheDropsCanceledEntries.)
-	cell.Config.Reps = 1
-	cell.Config.Count = 16
+	al, ok := coll.ByID(coll.Alltoall, 3) // bruck
+	if !ok {
+		t.Fatal("no alltoall algorithm 3")
+	}
+	cell.Config.Algorithm = al
 	if _, err := eng.Map(context.Background(), []Cell{cell}); err != nil {
 		t.Fatalf("Map after cancellation: %v", err)
 	}

@@ -1,8 +1,11 @@
 package eventq
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -96,20 +99,148 @@ func TestPushPopDoesNotAllocateSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkHoldModel mimics the kernel's access pattern: pop one, push one
-// slightly in the future, on a queue of the given standing size.
-func BenchmarkHoldModel(b *testing.B) {
-	var q Queue[[3]uintptr]
-	const standing = 64 // ~2 in-flight events per rank at 32 ranks
-	var seq uint64
-	for i := 0; i < standing; i++ {
-		seq++
-		q.Push(int64(i), seq, [3]uintptr{})
+// refHeap is the differential reference: container/heap ordered by
+// (at, seq), the textbook priority queue.
+type refHeap []Item[int]
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].At != h[j].At {
+		return h[i].At < h[j].At
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := q.Pop()
-		seq++
-		q.Push(it.At+10, seq, [3]uintptr{})
+	return h[i].Seq < h[j].Seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(Item[int])) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// TestHoldWorkloadMatchesReference drives the queue and the reference
+// through the kernel's access pattern — pop the minimum, push zero to two
+// events at or after it, a third of them at exactly the popped time — and
+// requires identical pops. Timestamps come from a small range, so At ties
+// are heavy and the seq tie-break decides most pops.
+func TestHoldWorkloadMatchesReference(t *testing.T) {
+	for _, standing := range []int{64, 4096, 131072} {
+		t.Run(fmt.Sprintf("standing=%d", standing), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(standing)))
+			var q Queue[int]
+			var ref refHeap
+			var seq uint64
+			push := func(at int64) {
+				seq++
+				q.Push(at, seq, int(seq))
+				heap.Push(&ref, Item[int]{At: at, Seq: seq, V: int(seq)})
+			}
+			for i := 0; i < standing; i++ {
+				push(int64(rng.Intn(50)))
+			}
+			ops := 4 * standing
+			if ops > 300000 {
+				ops = 300000
+			}
+			for i := 0; q.Len() > 0; i++ {
+				got, want := q.Pop(), heap.Pop(&ref).(Item[int])
+				if got != want {
+					t.Fatalf("pop %d = %+v, want %+v", i, got, want)
+				}
+				if q.Len() != ref.Len() {
+					t.Fatalf("pop %d: Len %d, want %d", i, q.Len(), ref.Len())
+				}
+				if i >= ops {
+					continue // drain
+				}
+				// Hold the size around standing: push one on average.
+				for n := rng.Intn(3); n > 0; n-- {
+					switch rng.Intn(3) {
+					case 0:
+						push(got.At) // at now, after every queued tie
+					default:
+						push(got.At + int64(rng.Intn(20)))
+					}
+				}
+			}
+		})
+	}
+}
+
+// mustPanic runs f and fails unless it panics with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+func TestNonMonotonePushPanics(t *testing.T) {
+	var q Queue[int]
+	q.Push(10, 5, 0)
+	q.Push(20, 6, 0)
+	q.Pop() // last popped key is now (10, 5)
+	mustPanic(t, "non-monotone push", func() { q.Push(9, 7, 0) })
+	mustPanic(t, "non-monotone push", func() { q.Push(10, 4, 0) })
+	mustPanic(t, "non-monotone push", func() { q.Push(10, 5, 0) })
+	// At the popped time with a later seq is the kernel's Yield: accepted.
+	q.Push(10, 7, 1)
+	if it := q.Pop(); it.At != 10 || it.Seq != 7 || it.V != 1 {
+		t.Fatalf("pop = %+v, want (10, 7, 1)", it)
+	}
+	// Reset forgets the last popped key.
+	q.Reset()
+	q.Push(0, 1, 2)
+	if it := q.Pop(); it.At != 0 || it.Seq != 1 || it.V != 2 || q.Len() != 0 {
+		t.Fatalf("after Reset: pop = %+v, Len %d", it, q.Len())
+	}
+}
+
+func TestSeqOverflowPanics(t *testing.T) {
+	var q Queue[int]
+	q.Push(0, maxSeq, 0)
+	if it := q.Pop(); it.Seq != maxSeq {
+		t.Fatalf("pop seq = %d, want maxSeq", it.Seq)
+	}
+	mustPanic(t, "overflows the key's", func() { q.Push(1, maxSeq+1, 0) })
+}
+
+func TestSlotOverflowPanics(t *testing.T) {
+	// A zero-size payload lets the slab reach its slot limit without
+	// allocating; the next push has no slot left.
+	var q Queue[struct{}]
+	q.slab = make([]struct{}, slotMask+1)
+	mustPanic(t, "items queued", func() { q.Push(0, 1, struct{}{}) })
+}
+
+// BenchmarkHoldModel mimics the kernel's access pattern: pop one, push one
+// slightly in the future, on a queue of the given standing size (64: ~2
+// in-flight events per rank at 32 ranks; 131072: a 256-rank cell with all
+// p² messages in flight).
+func BenchmarkHoldModel(b *testing.B) {
+	for _, standing := range []int{64, 4096, 131072} {
+		b.Run(fmt.Sprintf("standing=%d", standing), func(b *testing.B) {
+			var q Queue[[3]uintptr]
+			var seq uint64
+			for i := 0; i < standing; i++ {
+				seq++
+				q.Push(int64(i), seq, [3]uintptr{})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it := q.Pop()
+				seq++
+				q.Push(it.At+10, seq, [3]uintptr{})
+			}
+		})
 	}
 }

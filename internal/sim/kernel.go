@@ -146,7 +146,7 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Kernel is the simulation scheduler.
 type Kernel struct {
 	now Time
-	q   eventq.Queue[event]
+	q   *eventq.Queue[event]
 	seq uint64
 
 	procs []*Proc
@@ -194,8 +194,10 @@ func WithDeadline(t Time) Option { return func(k *Kernel) { k.deadline = t } }
 // New creates an empty simulation configured by opts.
 func New(opts ...Option) *Kernel {
 	k := &Kernel{}
-	if v := eventBufPool.Get(); v != nil {
-		k.q.SetBacking(*(v.(*[]eventq.Item[event])))
+	if v := queuePool.Get(); v != nil {
+		k.q = v.(*eventq.Queue[event])
+	} else {
+		k.q = new(eventq.Queue[event])
 	}
 	for _, o := range opts {
 		o(k)
@@ -203,20 +205,20 @@ func New(opts ...Option) *Kernel {
 	return k
 }
 
-// eventBufPool recycles event-queue backing arrays across kernels: every
-// simulation re-grows an identical array otherwise, and the per-cell worlds
-// of a selection grid churn through thousands of them.
-var eventBufPool sync.Pool
+// queuePool recycles event queues — their buckets, slab and free list —
+// across kernels: every simulation re-grows identical storage otherwise,
+// and the per-cell worlds of a selection grid churn through thousands of
+// them.
+var queuePool sync.Pool
 
-// Release returns the kernel's event-queue storage to a process-wide pool.
-// Call it only once the simulation is finished and no further Kernel or
-// Proc method will be invoked; diagnostic state (Now, failure) remains
+// Release returns the kernel's event queue to a process-wide pool. Call it
+// only once the simulation is finished and no further Kernel or Proc
+// method will be invoked; diagnostic state (Now, failure) remains
 // readable.
 func (k *Kernel) Release() {
-	h := k.q.TakeBacking()
-	if cap(h) > 0 {
-		eventBufPool.Put(&h)
-	}
+	k.q.Reset()
+	queuePool.Put(k.q)
+	k.q = nil
 }
 
 // NewKernel creates an empty simulation.
@@ -229,7 +231,9 @@ func NewKernel() *Kernel { return New() }
 func (k *Kernel) Now() Time { return k.now }
 
 // push enqueues e at absolute time t; scheduling in the past is clamped to
-// the current time, and insertion order breaks timestamp ties.
+// the current time, and insertion order breaks timestamp ties. The clamp
+// and the increasing seq keep every push above the last popped event,
+// which is the event queue's monotone precondition.
 func (k *Kernel) push(t Time, e event) {
 	if t < k.now {
 		t = k.now

@@ -18,10 +18,11 @@
 //     Store'd, Swap'ed or Add'ed a negative value.
 //
 // Metric declarations are recognized in two shapes: a `# TYPE <name>
-// <kind>` literal, and a call to a local emitter closure (a func literal
-// whose body prints `# TYPE %s <kind>`) with a literal name argument — the
-// `counter(...)` / `gauge(...)` idiom internal/serve/metrics.go uses.
-// Genuine exceptions carry //collsel:metric <why>.
+// <kind>` literal, and a call with a literal name as first argument to an
+// emitter — a local closure, function or method whose own body prints
+// `# TYPE %s <kind>`, like the `e.counter(...)` / `e.gauge(...)` methods
+// internal/serve/metrics.go uses. Genuine exceptions carry
+// //collsel:metric <why>.
 package metrichygiene
 
 import (
@@ -84,38 +85,35 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	ann := func(p token.Pos) *annotation.File { return anns[pass.Fset.File(p)] }
 
-	// Emitter closures: variables bound to a func literal whose body prints
-	// a `# TYPE %s <kind>` template. Calls through them declare metrics.
-	emitters := make(map[types.Object]string) // var -> kind
-	ins.Preorder([]ast.Node{(*ast.AssignStmt)(nil)}, func(n ast.Node) {
-		as := n.(*ast.AssignStmt)
+	// Emitters: variables bound to a func literal, and declared functions
+	// and methods, whose own body prints a `# TYPE %s <kind>` template.
+	// Calls through them declare metrics.
+	emitters := make(map[types.Object]string) // var or func -> kind
+	addEmitter := func(id *ast.Ident, body *ast.BlockStmt) {
+		if kind := emitterKind(body); kind != "" {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+				emitters[obj] = kind
+			}
+		}
+	}
+	ins.Preorder([]ast.Node{(*ast.AssignStmt)(nil), (*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		if skip[pass.Fset.File(n.Pos())] {
 			return
 		}
+		if fd, ok := n.(*ast.FuncDecl); ok {
+			if fd.Body != nil {
+				addEmitter(fd.Name, fd.Body)
+			}
+			return
+		}
+		as := n.(*ast.AssignStmt)
 		for i, rhs := range as.Rhs {
 			lit, ok := rhs.(*ast.FuncLit)
 			if !ok || i >= len(as.Lhs) {
 				continue
 			}
-			id, ok := as.Lhs[i].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			kind := ""
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if bl, ok := n.(*ast.BasicLit); ok && bl.Kind == token.STRING {
-					if s, err := strconv.Unquote(bl.Value); err == nil {
-						if k := typeKindOf(s, "%s"); k != "" {
-							kind = k
-						}
-					}
-				}
-				return kind == ""
-			})
-			if kind != "" {
-				if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-					emitters[obj] = kind
-				}
+			if id, ok := as.Lhs[i].(*ast.Ident); ok {
+				addEmitter(id, lit.Body)
 			}
 		}
 	})
@@ -127,8 +125,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			id, ok := ast.Unparen(n.Fun).(*ast.Ident)
-			if !ok {
+			var id *ast.Ident
+			switch fn := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				id = fn
+			case *ast.SelectorExpr:
+				id = fn.Sel
+			default:
 				return
 			}
 			kind, ok := emitters[pass.TypesInfo.ObjectOf(id)]
@@ -265,6 +268,29 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// emitterKind returns the kind of the `# TYPE %s <kind>` template body
+// prints, or "" if it prints none. Nested func literals are separate
+// emitters and are not searched.
+func emitterKind(body *ast.BlockStmt) string {
+	kind := ""
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.BasicLit:
+			if n.Kind == token.STRING {
+				if s, err := strconv.Unquote(n.Value); err == nil {
+					if k := typeKindOf(s, "%s"); k != "" {
+						kind = k
+					}
+				}
+			}
+		}
+		return kind == ""
+	})
+	return kind
 }
 
 // typeKindOf extracts the kind from a `# TYPE <name> <kind>` line where

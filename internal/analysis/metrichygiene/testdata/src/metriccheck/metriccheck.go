@@ -59,6 +59,22 @@ func render(w io.Writer, m *metrics, dynName string) {
 	counter("legacy_drop_events", "drops", 10) // want `metric "legacy_drop_events" must match collseld_\[a-z0-9_\]\+`
 }
 
+// Methods (and declared functions) whose body prints the template are
+// emitters too, called through a selector.
+type expo struct{ w io.Writer }
+
+func (e expo) counter(name, help string, v int64) {
+	fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+func renderExpo(w io.Writer, dynName string) {
+	e := expo{w}
+	e.counter("collseld_method_requests_total", "requests", 1)
+	e.counter("collseld_method_drops", "drops", 2) // want `counter "collseld_method_drops" must end in _total`
+
+	e.counter(dynName, "dynamic", 3) // want `metric name must be a string literal`
+}
+
 // Counter-backing fields are monotonic: only Add with a positive delta.
 func mutate(m *metrics) {
 	m.hits.Add(1)

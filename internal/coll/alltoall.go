@@ -180,11 +180,14 @@ func alltoallLinearSync(a *Args) ([]float64, error) {
 		rq, sq *mpi.Request
 		src    int
 	}
-	slots := make([]slot, 0, window)
-	flush := func(n int) {
-		for len(slots) > n {
-			s := slots[0]
-			slots = slots[1:]
+	// The window is a fixed ring, oldest pair at head, so keeping it
+	// allocates nothing per step.
+	var ring [window]slot
+	head, n := 0, 0
+	flush := func(keep int) {
+		for n > keep {
+			s := ring[head]
+			head, n = (head+1)%window, n-1
 			m := s.rq.Wait()
 			copy(chunk(a, res, s.src), m.Data)
 			s.sq.Wait()
@@ -195,7 +198,8 @@ func alltoallLinearSync(a *Args) ([]float64, error) {
 		dst := (me + i) % p
 		rq := a.R.Irecv(src, a.Tag)
 		sq := a.R.Issend(dst, a.Tag, chunk(a, a.Data, dst), a.Bytes(a.Count))
-		slots = append(slots, slot{rq: rq, sq: sq, src: src})
+		ring[(head+n)%window] = slot{rq: rq, sq: sq, src: src}
+		n++
 		flush(window - 1)
 	}
 	flush(0)

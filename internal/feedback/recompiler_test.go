@@ -203,14 +203,13 @@ func TestPipelineBackoffLadderAndPark(t *testing.T) {
 		t.Fatalf("second backoff %v outside [2*base, 2.5*base]", ds[1])
 	}
 
-	// Parked: identical evidence does not retry.
+	// New evidence (the count changes the digest) un-parks; with the
+	// compile fixed first, the recompile it starts cannot fail and park
+	// again, so promotion succeeds.
+	setFailing(false)
 	if err := p.Offer(driftBatch(2.0, 1)); err != nil {
-		// This changes the digest (count changed) — so it DOES un-park; use
-		// it deliberately below instead.
 		t.Fatal(err)
 	}
-	// New evidence un-parks; with the compile fixed, promotion succeeds.
-	setFailing(false)
 	waitFor(t, "promotion after un-park", func() bool { return p.Stats().SwapGeneration >= 1 })
 	if p.Stats().BackoffState != BackoffIdle {
 		t.Fatalf("backoff state %d after recovery, want idle", p.Stats().BackoffState)

@@ -104,6 +104,10 @@ type Result struct {
 	// are the same in timing and data mode.
 	WireMessages int64
 	WireBytes    int64
+	// Events counts the simulator events the run dispatched, all
+	// repetitions and harmonization included; it is the same in timing
+	// and data mode.
+	Events int64
 }
 
 // MsgBytes returns the wire size of the benchmarked message.
@@ -239,6 +243,7 @@ func Run(cfg Config) (Result, error) {
 		Drops:        w.DropCount(),
 		WireMessages: w.MessageCount(),
 		WireBytes:    w.ByteCount(),
+		Events:       w.K.Events(),
 	}
 	for rep := cfg.Warmup; rep < total; rep++ {
 		minA, maxA := math.Inf(1), math.Inf(-1)

@@ -23,7 +23,8 @@ var allCollectives = []coll.Collective{
 // collective twice — in data mode (Validate, real payloads, checked
 // results) and in timing mode (nil payloads) — and requires the two runs
 // to be indistinguishable: bit-equal repetition metrics, equal fault
-// traffic and equal world message and byte counts. Timing mode is what
+// traffic, equal world message and byte counts and equal simulator event
+// counts. Timing mode is what
 // selection runs, so any schedule that silently depends on a payload shows
 // up here.
 //
@@ -97,6 +98,9 @@ func assertModesAgree(t *testing.T, key string, cfg Config) {
 	if data.WireMessages != timing.WireMessages || data.WireBytes != timing.WireBytes {
 		t.Errorf("%s: %d messages/%d bytes in data mode, %d/%d in timing mode",
 			key, data.WireMessages, data.WireBytes, timing.WireMessages, timing.WireBytes)
+	}
+	if data.Events != timing.Events {
+		t.Errorf("%s: %d simulator events in data mode, %d in timing mode", key, data.Events, timing.Events)
 	}
 }
 

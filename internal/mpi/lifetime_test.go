@@ -178,3 +178,44 @@ func TestPairwiseAlltoallAllocationIsInFlightBounded(t *testing.T) {
 		t.Logf("bytes=%d: warm run made %d allocations (%d B)", bytes, mallocs, after.TotalAlloc-before.TotalAlloc)
 	}
 }
+
+// TestSlabHandlesStableAndReusedLIFO: algorithms hold *Request across
+// later operations, so an entry must keep its address and contents while
+// the slab grows by several chunks; freed handles are reused last-freed
+// first, and reset zeroes every issued entry and starts over at handle 0.
+func TestSlabHandlesStableAndReusedLIFO(t *testing.T) {
+	var s slab[Request]
+	h0, q0 := s.get()
+	q0.src, q0.tag = 7, 9
+	handles := []int32{h0}
+	for i := 0; i < 5*chunkLen; i++ {
+		h, _ := s.get()
+		handles = append(handles, h)
+	}
+	if len(s.chunks) < 5 {
+		t.Fatalf("slab has %d chunks after %d gets, want >= 5", len(s.chunks), len(handles))
+	}
+	if s.at(h0) != q0 || q0.src != 7 || q0.tag != 9 {
+		t.Fatalf("entry of handle %d moved or changed after growth: %p vs %p, %+v", h0, s.at(h0), q0, *q0)
+	}
+	a, b := handles[3], handles[chunkLen+1]
+	s.at(a).tag = 1
+	s.put(a)
+	s.put(b)
+	if s.at(a).tag != 0 {
+		t.Fatal("put did not zero the entry")
+	}
+	if h, _ := s.get(); h != b {
+		t.Fatalf("first get after put(%d), put(%d) returned %d, want %d", a, b, h, b)
+	}
+	if h, _ := s.get(); h != a {
+		t.Fatalf("second get returned %d, want %d", h, a)
+	}
+	if h, q := s.get(); h != int32(len(handles)) || q.src != 0 {
+		t.Fatalf("get with an empty free list returned handle %d, want fresh handle %d", h, len(handles))
+	}
+	s.reset()
+	if h, q := s.get(); h != 0 || q != q0 || q.src != 0 || q.tag != 0 {
+		t.Fatalf("get after reset returned handle %d (%+v), want zeroed handle 0", h, *q)
+	}
+}

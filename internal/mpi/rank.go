@@ -49,7 +49,7 @@ func (r *Rank) NextCollSeq() int {
 // pairFIFO returns the reorder buffer for messages arriving from src.
 func (r *Rank) pairFIFO(src int) *pairFIFO {
 	if r.inFIFO == nil {
-		r.inFIFO = r.w.fifoSlab(r.id)
+		r.inFIFO = row(&r.w.st.fifo, r.w.size, r.id)
 	}
 	return &r.inFIFO[src]
 }
@@ -57,7 +57,7 @@ func (r *Rank) pairFIFO(src int) *pairFIFO {
 // nextPseq returns the next per-pair sequence number for messages to dst.
 func (r *Rank) nextPseq(dst int) int64 {
 	if r.outPseq == nil {
-		r.outPseq = r.w.pseqSlab(r.id)
+		r.outPseq = row(&r.w.st.pseq, r.w.size, r.id)
 	}
 	v := r.outPseq[dst]
 	r.outPseq[dst] = v + 1

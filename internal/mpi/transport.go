@@ -19,10 +19,12 @@ type Message struct {
 }
 
 // inMsg is one point-to-point message, from Isend until both the sender
-// and the receiver are done with it. The same value travels as eager
-// payload, as rendezvous RTS envelope and as rendezvous data, and is what
-// a completed receive request points at.
+// and the receiver are done with it. The same entry of the world's message
+// slab travels as eager payload, as rendezvous RTS envelope and as
+// rendezvous data, and is what a completed receive request points at.
 type inMsg struct {
+	// h is the message's own handle in the world's message slab.
+	h             int32
 	src, dst, tag int
 	data          []float64
 	bytes         int
@@ -37,9 +39,9 @@ type inMsg struct {
 	// refs counts the sides (sender, receiver) still holding the message;
 	// see World.releaseMsg.
 	refs int8
-	// sendReq is the sender's request (rendezvous: completed when the data
-	// actually leaves the sender port).
-	sendReq *Request
+	// sendReq is the handle of the sender's request (rendezvous: completed
+	// when the data actually leaves the sender port).
+	sendReq int32
 }
 
 // pairFIFO reorders messages of one directed (src,dst) pair back into send
@@ -66,12 +68,13 @@ func (f *pairFIFO) take(pseq int64) (*inMsg, bool) {
 	return nil, false
 }
 
-// --- pooled transport events -------------------------------------------------
+// --- transport events --------------------------------------------------------
 
-// Transport fast-path events are pooled tev values implementing sim.Timer,
-// so the steady-state message flow schedules no closures and allocates
-// nothing. Fault-path events (retransmissions, crashes) stay closures: they
-// are rare by construction and their capture lists are irregular.
+// Transport fast-path events are AtOp events to the world's handler,
+// naming their message and request by handle, so the steady-state message
+// flow schedules no closures and allocates nothing. Fault-path events
+// (retransmissions, crashes) stay closures: they are rare by construction
+// and their capture lists are irregular.
 const (
 	opSelfDeliver     = iota // self-send: complete the send, deliver locally
 	opSendComplete           // last byte left the send port
@@ -82,28 +85,17 @@ const (
 	opRecvComplete           // rendezvous payload drained: complete the recv
 )
 
-// tev is one pooled transport event. Fire copies its fields out and returns
-// the value to the world's free list before acting, so handlers can
-// schedule new events without clobbering the one in flight.
-type tev struct {
-	w   *World
-	op  int
-	m   *inMsg
-	req *Request
-	arg int64 // transferNs for the arrive ops
+// schedule enqueues transport event op on message m at absolute virtual
+// time at; req is the receive request's handle for the rendezvous-data
+// ops and ignored by the others, arg the transfer time of the arrive ops.
+func (w *World) schedule(at sim.Time, op uint16, m *inMsg, req int32, arg int64) {
+	w.K.AtOp(at, w.hid, op, m.h, req, arg)
 }
 
-// schedule enqueues a pooled transport event at absolute virtual time at.
-func (w *World) schedule(at sim.Time, op int, m *inMsg, req *Request, arg int64) {
-	e := w.tevs.get()
-	e.w, e.op, e.m, e.req, e.arg = w, op, m, req, arg
-	w.K.AtTimer(at, e)
-}
-
-// Fire implements sim.Timer.
-func (e *tev) Fire(_ *sim.Kernel) {
-	w, op, m, req, arg := e.w, e.op, e.m, e.req, e.arg
-	w.tevs.put(e)
+// Handle implements sim.Handler: the kernel calls it to run the transport
+// event scheduled on message handle mh and request handle rh.
+func (w *World) Handle(op uint16, mh, rh int32, arg int64) {
+	m := w.st.msgs.at(mh)
 	switch op {
 	case opSelfDeliver:
 		w.sendDone(m)
@@ -115,23 +107,27 @@ func (e *tev) Fire(_ *sim.Kernel) {
 	case opDeliver:
 		w.deliverPayload(m)
 	case opSendRndvData:
-		w.sendRendezvousData(m, req, 0)
+		w.sendRendezvousData(m, rh, 0)
 	case opArriveToRequest:
-		w.arriveToRequest(m, req, arg)
+		w.arriveToRequest(m, rh, arg)
 	case opRecvComplete:
-		w.totalMessages++
-		w.totalBytes += int64(m.bytes)
-		req.msg = m
-		req.complete()
+		w.recvDone(w.st.reqs.at(rh), m)
 	}
 }
 
 // sendDone completes m's send request and drops the sender's reference
 // to m: the buffer has been handed to the NIC (or copied locally).
 func (w *World) sendDone(m *inMsg) {
-	m.sendReq.complete()
-	m.sendReq = nil
+	w.complete(w.st.reqs.at(m.sendReq))
 	w.releaseMsg(m)
+}
+
+// recvDone hands the fully arrived message m to its receive request.
+func (w *World) recvDone(req *Request, m *inMsg) {
+	w.totalMessages++
+	w.totalBytes += int64(m.bytes)
+	req.msg = m
+	w.complete(req)
 }
 
 // Request represents an outstanding non-blocking operation. Wait and
@@ -139,7 +135,9 @@ func (w *World) sendDone(m *inMsg) {
 // world recycles it for a later operation, so a waited request must not be
 // used again.
 type Request struct {
-	r    *Rank // owning rank
+	r *Rank // owning rank
+	// h is the request's own handle in the world's request slab.
+	h    int32
 	done bool
 	// recv state
 	isRecv   bool
@@ -155,11 +153,12 @@ type Request struct {
 // without deallocation).
 func (q *Request) Done() bool { return q.done }
 
-func (q *Request) complete() {
+// complete marks q done and wakes whoever waits on it.
+func (w *World) complete(q *Request) {
 	q.done = true
-	q.cond.Signal(q.r.w.K)
+	q.cond.Signal(w.K)
 	if q.anyCond != nil {
-		q.anyCond.Signal(q.r.w.K)
+		q.anyCond.Signal(w.K)
 		q.anyCond = nil
 	}
 }
@@ -242,7 +241,7 @@ func (q *Request) Wait() Message {
 		msg = Message{Source: m.src, Tag: m.tag, Data: m.data, Bytes: m.bytes}
 		w.releaseMsg(m)
 	}
-	w.reqs.put(q)
+	w.st.reqs.put(q.h)
 	return msg
 }
 
@@ -274,20 +273,19 @@ func (r *Rank) isend(op string, dst, tag int, data []float64, bytes int, sync bo
 		bytes = 8 * len(data)
 	}
 	w := r.w
-	req := w.reqs.get()
-	req.r = r
+	req := w.newRequest(r)
 	if dst < 0 || dst >= w.size {
 		r.Abort("%s to invalid rank %d", op, dst)
 		return req
 	}
 	m := w.newInMsg()
 	m.src, m.dst, m.tag, m.data, m.bytes = r.id, dst, tag, data, bytes
-	m.pseq, m.sendReq = r.nextPseq(dst), req
+	m.pseq, m.sendReq = r.nextPseq(dst), req.h
 
 	if dst == r.id {
 		// Self message: local copy.
 		cost := int64(float64(bytes) * w.plat.CopyNsPerByte)
-		w.schedule(w.K.Now()+cost, opSelfDeliver, m, nil, 0)
+		w.schedule(w.K.Now()+cost, opSelfDeliver, m, 0, 0)
 		return req
 	}
 
@@ -354,13 +352,13 @@ func (r *Rank) sendEager(m *inMsg, attempt int) {
 	firstByteAt := start + w.plat.OverheadNs + lat
 
 	if attempt == 0 {
-		w.schedule(sendDone, opSendComplete, m, nil, 0)
+		w.schedule(sendDone, opSendComplete, m, 0, 0)
 	}
 	if w.fault.Drop(m.src, m.dst, m.pseq, fault.ChannelEager, attempt) {
 		w.retryOrFail(m, attempt, sendDone, func(next int) { r.sendEager(m, next) })
 		return
 	}
-	w.schedule(firstByteAt, opArriveAtPort, m, nil, link.TransferNs(m.bytes))
+	w.schedule(firstByteAt, opArriveAtPort, m, 0, link.TransferNs(m.bytes))
 }
 
 // startRendezvous sends a zero-byte RTS; data moves once the receiver has a
@@ -383,7 +381,7 @@ func (r *Rank) sendRTS(m *inMsg, attempt int) {
 		w.retryOrFail(m, attempt, rtsOut, func(next int) { r.sendRTS(m, next) })
 		return
 	}
-	w.schedule(rtsOut+lat, opDeliver, m, nil, 0)
+	w.schedule(rtsOut+lat, opDeliver, m, 0, 0)
 }
 
 // releaseRendezvous is called on the receiver when a posted receive matches
@@ -401,12 +399,12 @@ func (w *World) releaseRendezvous(m *inMsg, recvReq *Request) {
 	ctsOut := start + w.plat.OverheadNs
 	receiver.sendBusyUntil = ctsOut
 	lat := w.noise.LatencyNs(dst, link.LatencyNs)
-	w.schedule(ctsOut+lat, opSendRndvData, m, recvReq, 0)
+	w.schedule(ctsOut+lat, opSendRndvData, m, recvReq.h, 0)
 }
 
 // sendRendezvousData models one post-CTS bulk transfer attempt from the
 // sender port, as in the eager path.
-func (w *World) sendRendezvousData(m *inMsg, recvReq *Request, attempt int) {
+func (w *World) sendRendezvousData(m *inMsg, recvReq int32, attempt int) {
 	src, dst := m.src, m.dst
 	sender := w.ranks[src]
 	dlink := w.linkFor(src, dst)
@@ -416,7 +414,7 @@ func (w *World) sendRendezvousData(m *inMsg, recvReq *Request, attempt int) {
 	dlat := w.noise.LatencyNs(src, dlink.LatencyNs)
 	firstByteAt := s + w.plat.OverheadNs + dlat
 	if attempt == 0 {
-		w.schedule(sendDone, opSendComplete, m, nil, 0)
+		w.schedule(sendDone, opSendComplete, m, 0, 0)
 	}
 	if w.fault.Drop(src, dst, m.pseq, fault.ChannelData, attempt) {
 		w.retryOrFail(m, attempt, sendDone, func(next int) { w.sendRendezvousData(m, recvReq, next) })
@@ -431,12 +429,12 @@ func (w *World) arriveAtPort(m *inMsg, transferNs int64) {
 	dst := w.ranks[m.dst]
 	completion := maxTime(w.K.Now(), dst.recvBusyUntil) + transferNs + w.plat.OverheadNs
 	dst.recvBusyUntil = completion
-	w.schedule(completion, opDeliver, m, nil, 0)
+	w.schedule(completion, opDeliver, m, 0, 0)
 }
 
 // arriveToRequest is the rendezvous-data variant of arriveAtPort: the
 // matching receive request is already known.
-func (w *World) arriveToRequest(m *inMsg, req *Request, transferNs int64) {
+func (w *World) arriveToRequest(m *inMsg, req int32, transferNs int64) {
 	dst := w.ranks[m.dst]
 	completion := maxTime(w.K.Now(), dst.recvBusyUntil) + transferNs + w.plat.OverheadNs
 	dst.recvBusyUntil = completion
@@ -477,10 +475,7 @@ func (w *World) matchOrQueue(m *inMsg) {
 			if m.rndv {
 				w.releaseRendezvous(m, req)
 			} else {
-				w.totalMessages++
-				w.totalBytes += int64(m.bytes)
-				req.msg = m
-				req.complete()
+				w.recvDone(req, m)
 			}
 			return
 		}
@@ -504,8 +499,8 @@ func (w *World) chargeMatch(dst *Rank, entries int) {
 // Irecv posts a non-blocking receive for a message from src with tag.
 func (r *Rank) Irecv(src, tag int) *Request {
 	w := r.w
-	req := w.reqs.get()
-	req.r, req.isRecv, req.src, req.tag = r, true, src, tag
+	req := w.newRequest(r)
+	req.isRecv, req.src, req.tag = true, src, tag
 	if src < 0 || src >= w.size {
 		r.Abort("Irecv from invalid rank %d", src)
 		return req
@@ -518,10 +513,7 @@ func (r *Rank) Irecv(src, tag int) *Request {
 			if m.rndv {
 				w.releaseRendezvous(m, req)
 			} else {
-				w.totalMessages++
-				w.totalBytes += int64(m.bytes)
-				req.msg = m
-				req.complete()
+				w.recvDone(req, m)
 			}
 			return req
 		}

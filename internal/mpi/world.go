@@ -12,6 +12,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,19 +35,10 @@ type World struct {
 	ranks  []*Rank
 	size   int
 
-	// tevs, reqs and msgs recycle transport events, Requests and inMsgs.
-	// A transport event returns when it fires, a Request when Wait
-	// releases it, an inMsg once both its sender and its receiver are done
-	// with it (releaseMsg). Each list therefore holds as many entries as
-	// were ever in flight at once, not one per message.
-	tevs *freeList[tev]
-	reqs *freeList[Request]
-	msgs *freeList[inMsg]
-	// fifoBacking and pseqBacking are size*size slabs carved into per-rank
-	// slices on first use (Rank.pairFIFO / Rank.nextPseq); pooling the slab
-	// replaces size allocations per world with one pool hit.
-	fifoBacking []pairFIFO
-	pseqBacking []int64
+	// hid is the id under which the world is registered as its kernel's
+	// handler: every transport event is an AtOp event addressed to it.
+	hid sim.HandlerID
+	st  *store // requests, messages and per-pair state; pooled by Release
 
 	// stats
 	totalMessages int64
@@ -55,110 +47,123 @@ type World struct {
 	drops         int64
 }
 
-// Pools recycling per-world storage across worlds (Release); the free
-// lists hold zeroed entries, the slabs are zeroed before they are pooled.
-var (
-	tevListPool  sync.Pool // *freeList[tev]
-	reqListPool  sync.Pool // *freeList[Request]
-	msgListPool  sync.Pool // *freeList[inMsg]
-	fifoSlabPool sync.Pool // *[]pairFIFO
-	pseqSlabPool sync.Pool // *[]int64
-)
+// store is the per-world storage that Release recycles across worlds.
+// Requests and inMsgs live in slabs and are named by int32 handle (events,
+// an inMsg's sendReq); a Request is freed when Wait releases it, an inMsg
+// once both its sender and its receiver are done with it (releaseMsg), so
+// each slab holds as many entries as were ever in flight at once, not one
+// per message. fifo and pseq are size*size slices carved into per-rank
+// rows on first use (Rank.pairFIFO / Rank.nextPseq).
+type store struct {
+	reqs slab[Request]
+	msgs slab[inMsg]
+	fifo []pairFIFO
+	pseq []int64
+}
 
-// freeList is a LIFO stack of zeroed values for reuse.
-type freeList[T any] struct{ items []*T }
+var storePool = sync.Pool{New: func() any { return new(store) }}
 
-// pooledList returns a free list from pool, or a new empty one.
-func pooledList[T any](pool *sync.Pool) *freeList[T] {
-	if v := pool.Get(); v != nil {
-		return v.(*freeList[T])
+// reset zeroes everything a world used, so the store can be pooled.
+func (s *store) reset() {
+	s.reqs.reset()
+	s.msgs.reset()
+	clear(s.fifo)
+	clear(s.pseq)
+}
+
+// row returns rank's size-wide row of the size*size slice *buf, sizing
+// *buf on first use. A pooled *buf is zeroed, and entries beyond its
+// length were zeroed by the world that last used them, so growing it
+// within its capacity yields zeroes.
+func row[T any](buf *[]T, size, rank int) []T {
+	if n := size * size; len(*buf) != n {
+		*buf = slices.Grow((*buf)[:0], n)[:n]
 	}
-	return new(freeList[T])
+	return (*buf)[rank*size : (rank+1)*size]
 }
 
-// get returns a zeroed value, recycled if one is free.
-func (f *freeList[T]) get() *T {
-	n := len(f.items)
-	if n == 0 {
-		return new(T)
-	}
-	x := f.items[n-1]
-	f.items = f.items[:n-1]
-	return x
+// chunkLen is the number of entries in one slab chunk.
+const chunkLen = 512
+
+// slab is an arena of T addressed by int32 handles. Entries live in
+// fixed-size chunks that never move, so a *T stays valid however far the
+// slab grows; freed handles are reused LIFO.
+type slab[T any] struct {
+	chunks []*[chunkLen]T
+	free   []int32
+	// n counts the handles issued since the last reset; only entries
+	// below it can be in use.
+	n int32
 }
 
-// put zeroes x and pushes it for reuse.
-func (f *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	f.items = append(f.items, x)
-}
-
-// fifoSlab returns rank's size-wide slice of the world's reorder-FIFO slab.
-func (w *World) fifoSlab(rank int) []pairFIFO {
-	if w.fifoBacking == nil {
-		n := w.size * w.size
-		if v := fifoSlabPool.Get(); v != nil && cap(*(v.(*[]pairFIFO))) >= n {
-			w.fifoBacking = (*(v.(*[]pairFIFO)))[:n]
-		} else {
-			w.fifoBacking = make([]pairFIFO, n)
+// get returns a free handle and its zeroed entry.
+func (s *slab[T]) get() (int32, *T) {
+	var h int32
+	if k := len(s.free); k > 0 {
+		h = s.free[k-1]
+		s.free = s.free[:k-1]
+	} else {
+		h = s.n
+		if int(h/chunkLen) == len(s.chunks) {
+			s.chunks = append(s.chunks, new([chunkLen]T))
 		}
+		s.n++
 	}
-	return w.fifoBacking[rank*w.size : (rank+1)*w.size]
+	return h, s.at(h)
 }
 
-// pseqSlab returns rank's size-wide slice of the world's sequence-counter slab.
-func (w *World) pseqSlab(rank int) []int64 {
-	if w.pseqBacking == nil {
-		n := w.size * w.size
-		if v := pseqSlabPool.Get(); v != nil && cap(*(v.(*[]int64))) >= n {
-			w.pseqBacking = (*(v.(*[]int64)))[:n]
-		} else {
-			w.pseqBacking = make([]int64, n)
-		}
+// at returns the entry of handle h.
+func (s *slab[T]) at(h int32) *T { return &s.chunks[h/chunkLen][h%chunkLen] }
+
+// put zeroes h's entry and frees the handle.
+func (s *slab[T]) put(h int32) {
+	*s.at(h) = *new(T)
+	s.free = append(s.free, h)
+}
+
+// reset zeroes every entry issued since the last reset, released or not,
+// and frees all handles; the chunks are kept.
+func (s *slab[T]) reset() {
+	for i := 0; i*chunkLen < int(s.n); i++ {
+		clear(s.chunks[i][:min(chunkLen, int(s.n)-i*chunkLen)])
 	}
-	return w.pseqBacking[rank*w.size : (rank+1)*w.size]
+	s.free = s.free[:0]
+	s.n = 0
+}
+
+// newRequest returns a zeroed Request owned by rank r.
+func (w *World) newRequest(r *Rank) *Request {
+	h, q := w.st.reqs.get()
+	q.h, q.r = h, r
+	return q
 }
 
 // newInMsg returns a zeroed inMsg holding a reference for each side,
 // sender and receiver.
 func (w *World) newInMsg() *inMsg {
-	m := w.msgs.get()
-	m.refs = 2
+	h, m := w.st.msgs.get()
+	m.h, m.refs = h, 2
 	return m
 }
 
 // releaseMsg drops one side's reference to m: the sender's once its last
 // byte has left the send port, the receiver's once Wait has copied the
-// message out. The second release returns m to the world's free list.
+// message out. The second release frees m's handle.
 func (w *World) releaseMsg(m *inMsg) {
 	if m.refs--; m.refs > 0 {
 		return
 	}
-	w.msgs.put(m)
+	w.st.msgs.put(m.h)
 }
 
-// Release returns the world's free lists, reorder and sequence slabs and
-// kernel event storage to process-wide pools. Call it only once the
-// simulation is finished and every Message obtained from it has been
-// consumed; statistics (MessageCount, DropCount, ...) remain readable.
+// Release returns the world's storage and kernel event storage to
+// process-wide pools. Call it only once the simulation is finished and
+// every Message obtained from it has been consumed; statistics
+// (MessageCount, DropCount, ...) remain readable.
 func (w *World) Release() {
-	tevListPool.Put(w.tevs)
-	reqListPool.Put(w.reqs)
-	msgListPool.Put(w.msgs)
-	w.tevs, w.reqs, w.msgs = nil, nil, nil
-	if w.fifoBacking != nil {
-		b := w.fifoBacking
-		clear(b)
-		fifoSlabPool.Put(&b)
-		w.fifoBacking = nil
-	}
-	if w.pseqBacking != nil {
-		b := w.pseqBacking
-		clear(b)
-		pseqSlabPool.Put(&b)
-		w.pseqBacking = nil
-	}
+	w.st.reset()
+	storePool.Put(w.st)
+	w.st = nil
 	w.K.Release()
 }
 
@@ -214,9 +219,8 @@ func NewWorld(cfg Config) (*World, error) {
 		plat: p,
 		size: cfg.Size,
 	}
-	w.tevs = pooledList[tev](&tevListPool)
-	w.reqs = pooledList[Request](&reqListPool)
-	w.msgs = pooledList[inMsg](&msgListPool)
+	w.hid = w.K.Register(w)
+	w.st = storePool.Get().(*store)
 	if cfg.NoNoise || !p.Noise.Enabled {
 		w.noise = noise.Inert(cfg.Size)
 	} else {

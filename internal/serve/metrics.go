@@ -210,21 +210,19 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 	}
 	m.requestsMu.Unlock()
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("collseld_table_hits_total", "Select queries answered from the decision table.", m.tableHits.Load())
-	counter("collseld_table_misses_total", "Select queries not covered by the decision table.", m.tableMisses.Load())
-	counter("collseld_cold_computes_total", "Live selections executed for cold cells.", m.coldComputes.Load())
-	counter("collseld_cold_cache_hits_total", "Select queries answered from the cold-result cache.", m.coldCacheHits.Load())
-	counter("collseld_coalesced_total", "Select queries coalesced onto an in-flight selection.", m.coalesced.Load())
-	counter("collseld_shed_total", "Cold requests shed with 429 (wait queue full).", m.shed.Load())
-	counter("collseld_deadline_exceeded_total", "Select requests that exceeded the selection deadline.", m.deadlineExceeded.Load())
-	counter("collseld_client_cancel_total", "Select requests abandoned by the client (499).", m.clientCancels.Load())
-	counter("collseld_negative_cache_hits_total", "Cold queries answered from a cached failure.", m.negativeHits.Load())
-	counter("collseld_degraded_answers_total", "Nearest-cell answers served while the circuit breaker was open.", m.degradedAnswers.Load())
-	counter("collseld_model_promotions_total", "Model-tier background refinements promoted into the serving table.", m.modelPromotions.Load())
-	counter("collseld_artifact_fallbacks_total", "Table loads recovered from the last-known-good artifact.", m.artifactFallbacks.Load())
+	e := expo{b}
+	e.counter("collseld_table_hits_total", "Select queries answered from the decision table.", m.tableHits.Load())
+	e.counter("collseld_table_misses_total", "Select queries not covered by the decision table.", m.tableMisses.Load())
+	e.counter("collseld_cold_computes_total", "Live selections executed for cold cells.", m.coldComputes.Load())
+	e.counter("collseld_cold_cache_hits_total", "Select queries answered from the cold-result cache.", m.coldCacheHits.Load())
+	e.counter("collseld_coalesced_total", "Select queries coalesced onto an in-flight selection.", m.coalesced.Load())
+	e.counter("collseld_shed_total", "Cold requests shed with 429 (wait queue full).", m.shed.Load())
+	e.counter("collseld_deadline_exceeded_total", "Select requests that exceeded the selection deadline.", m.deadlineExceeded.Load())
+	e.counter("collseld_client_cancel_total", "Select requests abandoned by the client (499).", m.clientCancels.Load())
+	e.counter("collseld_negative_cache_hits_total", "Cold queries answered from a cached failure.", m.negativeHits.Load())
+	e.counter("collseld_degraded_answers_total", "Nearest-cell answers served while the circuit breaker was open.", m.degradedAnswers.Load())
+	e.counter("collseld_model_promotions_total", "Model-tier background refinements promoted into the serving table.", m.modelPromotions.Load())
+	e.counter("collseld_artifact_fallbacks_total", "Table loads recovered from the last-known-good artifact.", m.artifactFallbacks.Load())
 
 	fmt.Fprintf(b, "# HELP collseld_select_source_total Served select answers by response source.\n")
 	fmt.Fprintf(b, "# TYPE collseld_select_source_total counter\n")
@@ -232,15 +230,12 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 		fmt.Fprintf(b, "collseld_select_source_total{source=%q} %d\n", name, m.sources[i].Load())
 	}
 
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("collseld_inflight_cold", "Cold selections currently executing.", m.inflightCold.Load())
+	e.gauge("collseld_inflight_cold", "Cold selections currently executing.", m.inflightCold.Load())
 
 	breakerState, breakerOpens, queueDepth := serveInfo()
-	gauge("collseld_breaker_state", "Circuit breaker state (0=closed, 1=half-open, 2=open).", int64(breakerState))
-	counter("collseld_breaker_opens_total", "Times the circuit breaker tripped open.", breakerOpens)
-	gauge("collseld_cold_queue_depth", "Cold requests waiting for a worker slot.", queueDepth)
+	e.gauge("collseld_breaker_state", "Circuit breaker state (0=closed, 1=half-open, 2=open).", int64(breakerState))
+	e.counter("collseld_breaker_opens_total", "Times the circuit breaker tripped open.", breakerOpens)
+	e.gauge("collseld_cold_queue_depth", "Cold requests waiting for a worker slot.", queueDepth)
 
 	fmt.Fprintf(b, "# HELP collseld_select_latency_seconds Select request latency.\n")
 	fmt.Fprintf(b, "# TYPE collseld_select_latency_seconds histogram\n")
@@ -271,39 +266,47 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 
 func formatFloat(v float64) string { return fmt.Sprintf("%g", v) }
 
+// expo appends unlabelled samples, each with its HELP and TYPE lines, to
+// a Prometheus text exposition. collsellint's metrichygiene analyzer reads
+// metric declarations from calls to its methods.
+type expo struct{ b *strings.Builder }
+
+func (e expo) counter(name, help string, v int64) {
+	fmt.Fprintf(e.b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+func (e expo) gauge(name, help string, v int64) {
+	fmt.Fprintf(e.b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+}
+
 // renderFeedback appends the feedback-loop exposition: observe-path
 // counters plus a snapshot of the pipeline (WAL, aggregation, recompiler,
 // promotion). Rendered only when a pipeline is configured, after the core
 // render — scrapes of a plain server are byte-identical to pre-feedback
 // builds.
 func renderFeedback(b *strings.Builder, m *metrics, st feedback.Stats) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("collseld_observe_batches_total", "Observation batches accepted by /observe.", m.observeBatches.Load())
-	counter("collseld_observe_records_total", "Observation records accepted by /observe.", m.observeRecords.Load())
-	counter("collseld_observe_shed_total", "Observation batches shed with 429 (ingest buffer full).", m.observeShed.Load())
-	counter("collseld_observe_rejected_total", "Observation batches rejected as malformed.", m.observeRejected.Load())
+	e := expo{b}
+	e.counter("collseld_observe_batches_total", "Observation batches accepted by /observe.", m.observeBatches.Load())
+	e.counter("collseld_observe_records_total", "Observation records accepted by /observe.", m.observeRecords.Load())
+	e.counter("collseld_observe_shed_total", "Observation batches shed with 429 (ingest buffer full).", m.observeShed.Load())
+	e.counter("collseld_observe_rejected_total", "Observation batches rejected as malformed.", m.observeRejected.Load())
 
-	counter("collseld_feedback_wal_records_total", "Records appended to the observation WAL (including replayed).", st.WAL.Records)
-	gauge("collseld_feedback_wal_bytes", "Bytes in the observation WAL (active segment plus sealed).", st.WAL.Bytes)
-	gauge("collseld_feedback_wal_segments", "Sealed observation WAL segments on disk.", int64(st.WAL.Segments))
-	counter("collseld_feedback_wal_errors_total", "Observation WAL append failures.", st.WALErrors)
-	gauge("collseld_feedback_profiles", "Live empirical skew-profile buckets.", int64(st.Profiles))
-	gauge("collseld_feedback_pending_batches", "Accepted observation batches not yet ingested.", st.PendingBatches)
-	counter("collseld_feedback_batches_ingested_total", "Observation batches WALed and folded.", st.BatchesIngested)
-	counter("collseld_feedback_records_ingested_total", "Observation records WALed and folded.", st.RecordsIngested)
+	e.counter("collseld_feedback_wal_records_total", "Records appended to the observation WAL (including replayed).", st.WAL.Records)
+	e.gauge("collseld_feedback_wal_bytes", "Bytes in the observation WAL (active segment plus sealed).", st.WAL.Bytes)
+	e.gauge("collseld_feedback_wal_segments", "Sealed observation WAL segments on disk.", int64(st.WAL.Segments))
+	e.counter("collseld_feedback_wal_errors_total", "Observation WAL append failures.", st.WALErrors)
+	e.gauge("collseld_feedback_profiles", "Live empirical skew-profile buckets.", int64(st.Profiles))
+	e.gauge("collseld_feedback_pending_batches", "Accepted observation batches not yet ingested.", st.PendingBatches)
+	e.counter("collseld_feedback_batches_ingested_total", "Observation batches WALed and folded.", st.BatchesIngested)
+	e.counter("collseld_feedback_records_ingested_total", "Observation records WALed and folded.", st.RecordsIngested)
 
-	counter("collseld_feedback_recompile_attempts_total", "Background recompilation attempts.", st.RecompileAttempts)
-	counter("collseld_feedback_recompile_successes_total", "Recompilations promoted into the serving table.", st.RecompileSuccesses)
-	counter("collseld_feedback_recompile_failures_total", "Recompilation attempts that failed.", st.RecompileFailures)
-	counter("collseld_feedback_rollbacks_total", "Promotions rolled back after failed post-swap validation.", st.Rollbacks)
-	counter("collseld_feedback_swaps_lost_total", "Promotions dropped after losing the swap race to a reload.", st.SwapsLost)
-	counter("collseld_feedback_swaps_total", "Tables promoted by the feedback loop.", st.SwapGeneration)
-	gauge("collseld_feedback_backoff_state", "Recompiler backoff state (0=idle, 1=waiting, 2=parked).", st.BackoffState)
+	e.counter("collseld_feedback_recompile_attempts_total", "Background recompilation attempts.", st.RecompileAttempts)
+	e.counter("collseld_feedback_recompile_successes_total", "Recompilations promoted into the serving table.", st.RecompileSuccesses)
+	e.counter("collseld_feedback_recompile_failures_total", "Recompilation attempts that failed.", st.RecompileFailures)
+	e.counter("collseld_feedback_rollbacks_total", "Promotions rolled back after failed post-swap validation.", st.Rollbacks)
+	e.counter("collseld_feedback_swaps_lost_total", "Promotions dropped after losing the swap race to a reload.", st.SwapsLost)
+	e.counter("collseld_feedback_swaps_total", "Tables promoted by the feedback loop.", st.SwapGeneration)
+	e.gauge("collseld_feedback_backoff_state", "Recompiler backoff state (0=idle, 1=waiting, 2=parked).", st.BackoffState)
 }
 
 // renderCluster appends the replication-layer exposition: forward/hedge
@@ -312,18 +315,16 @@ func renderFeedback(b *strings.Builder, m *metrics, st feedback.Stats) {
 // core (and feedback) render — scrapes of a single-replica server are
 // byte-identical to non-clustered builds.
 func renderCluster(b *strings.Builder, m *metrics, st cluster.Stats) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("collseld_cluster_forwards_total", "Cold queries forwarded to their owning replica.", st.Forwards)
-	counter("collseld_cluster_forward_errors_total", "Forwards where every attempt failed (answered locally).", st.ForwardErrors)
-	counter("collseld_cluster_hedges_total", "Secondary (hedged or retried) forward attempts launched.", st.Hedges)
-	counter("collseld_cluster_hedge_wins_total", "Forwards won by the secondary attempt.", st.HedgeWins)
-	counter("collseld_cluster_owner_unavailable_total", "Forwards refused because the owner was suspect or dead.", st.OwnerUnavailable)
-	counter("collseld_cluster_shares_sent_total", "Cold-cell gossip deliveries to peers.", st.SharesSent)
-	counter("collseld_cluster_share_errors_total", "Cold-cell gossip deliveries that failed.", st.ShareErrors)
-	counter("collseld_cluster_shares_dropped_total", "Cold-cell shares dropped (queue full or shut down).", st.SharesDropped)
-	counter("collseld_cluster_budget_denied_total", "Hedge attempts denied by the retry budget.", st.Budget.Denied)
+	e := expo{b}
+	e.counter("collseld_cluster_forwards_total", "Cold queries forwarded to their owning replica.", st.Forwards)
+	e.counter("collseld_cluster_forward_errors_total", "Forwards where every attempt failed (answered locally).", st.ForwardErrors)
+	e.counter("collseld_cluster_hedges_total", "Secondary (hedged or retried) forward attempts launched.", st.Hedges)
+	e.counter("collseld_cluster_hedge_wins_total", "Forwards won by the secondary attempt.", st.HedgeWins)
+	e.counter("collseld_cluster_owner_unavailable_total", "Forwards refused because the owner was suspect or dead.", st.OwnerUnavailable)
+	e.counter("collseld_cluster_shares_sent_total", "Cold-cell gossip deliveries to peers.", st.SharesSent)
+	e.counter("collseld_cluster_share_errors_total", "Cold-cell gossip deliveries that failed.", st.ShareErrors)
+	e.counter("collseld_cluster_shares_dropped_total", "Cold-cell shares dropped (queue full or shut down).", st.SharesDropped)
+	e.counter("collseld_cluster_budget_denied_total", "Hedge attempts denied by the retry budget.", st.Budget.Denied)
 
 	fmt.Fprintf(b, "# HELP collseld_cluster_budget_tokens Banked retry-budget tokens.\n")
 	fmt.Fprintf(b, "# TYPE collseld_cluster_budget_tokens gauge\n")
@@ -336,10 +337,10 @@ func renderCluster(b *strings.Builder, m *metrics, st cluster.Stats) {
 		fmt.Fprintf(b, "collseld_cluster_peer_state{peer=%q} %d\n", p.Peer, stateNum[p.State])
 	}
 
-	counter("collseld_peer_answers_total", "Select answers served from a peer forward.", m.peerAnswers.Load())
-	counter("collseld_peer_hedge_wins_total", "Peer answers won by the hedged attempt.", m.peerHedgeWins.Load())
-	counter("collseld_peer_cells_accepted_total", "Gossiped peer cells promoted into the serving table.", m.peerCellsAccepted.Load())
-	counter("collseld_peer_cells_ignored_total", "Gossiped peer cells identical to an already-compiled cell.", m.peerCellsIgnored.Load())
-	counter("collseld_peer_cells_rejected_total", "Gossiped peer cells rejected (malformed or wrong provenance).", m.peerCellsRejected.Load())
-	counter("collseld_peer_cells_lost_swap_total", "Gossiped peer cells dropped after losing the table-swap race.", m.peerCellsLostSwap.Load())
+	e.counter("collseld_peer_answers_total", "Select answers served from a peer forward.", m.peerAnswers.Load())
+	e.counter("collseld_peer_hedge_wins_total", "Peer answers won by the hedged attempt.", m.peerHedgeWins.Load())
+	e.counter("collseld_peer_cells_accepted_total", "Gossiped peer cells promoted into the serving table.", m.peerCellsAccepted.Load())
+	e.counter("collseld_peer_cells_ignored_total", "Gossiped peer cells identical to an already-compiled cell.", m.peerCellsIgnored.Load())
+	e.counter("collseld_peer_cells_rejected_total", "Gossiped peer cells rejected (malformed or wrong provenance).", m.peerCellsRejected.Load())
+	e.counter("collseld_peer_cells_lost_swap_total", "Gossiped peer cells dropped after losing the table-swap race.", m.peerCellsLostSwap.Load())
 }

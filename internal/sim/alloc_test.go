@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -8,31 +9,44 @@ import (
 )
 
 // countdownTimer re-arms itself left-1 times: a minimal self-sustaining
-// event chain exercising the push → pop → dispatch cycle with a pooled
-// Timer, the same shape the mpi layer uses for message delivery.
+// event chain exercising the push → pop → dispatch cycle with a
+// registered Handler, the same shape the mpi layer uses for message
+// delivery.
 type countdownTimer struct {
+	k        *Kernel
+	id       HandlerID
 	left     int
 	interval Time
 }
 
-func (t *countdownTimer) Fire(k *Kernel) {
+// newCountdownTimer registers a countdown chain with k.
+func newCountdownTimer(k *Kernel, interval Time) *countdownTimer {
+	t := &countdownTimer{k: k, interval: interval}
+	t.id = k.Register(t)
+	return t
+}
+
+// arm schedules the chain's next event at absolute time at.
+func (t *countdownTimer) arm(at Time) { t.k.AtOp(at, t.id, 0, 0, 0, 0) }
+
+func (t *countdownTimer) Handle(uint16, int32, int32, int64) {
 	t.left--
 	if t.left > 0 {
-		k.AfterTimer(t.interval, t)
+		t.arm(t.k.Now() + t.interval)
 	}
 }
 
 // TestTimerDispatchZeroAlloc pins the kernel's core contract: once the
 // event-queue backing has grown, steady-state event dispatch allocates
-// nothing. A reused kernel runs a 256-event timer chain per iteration;
-// every push, pop, time advance and Fire must come out of existing
-// storage.
+// nothing. A reused kernel runs a 256-event handler chain per iteration;
+// every push, pop, time advance and Handle call must come out of
+// existing storage.
 func TestTimerDispatchZeroAlloc(t *testing.T) {
 	k := New()
-	tm := &countdownTimer{interval: 5}
+	tm := newCountdownTimer(k, 5)
 	run := func() {
 		tm.left = 256
-		k.AtTimer(k.Now()+1, tm)
+		tm.arm(k.Now() + 1)
 		if err := k.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -40,6 +54,57 @@ func TestTimerDispatchZeroAlloc(t *testing.T) {
 	run() // grow the queue backing before measuring
 	if n := testing.AllocsPerRun(20, run); n != 0 {
 		t.Fatalf("steady-state timer dispatch allocated %.1f allocs/run, want 0", n)
+	}
+}
+
+// TestEventIsPointerFree pins what keeps the GC off the event queue: the
+// queued event value must hold no pointer-bearing field, or the queue's
+// slab is allocated as scannable memory again. It also pins the 24-byte
+// size that keeps a pop to a fraction of a cache line.
+func TestEventIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: the event must hold no pointers", path, typ.Kind())
+		}
+	}
+	typ := reflect.TypeOf(event{})
+	walk(typ.Name(), typ)
+	if size := typ.Size(); size > 24 {
+		t.Errorf("event is %d bytes, want at most 24", size)
+	}
+}
+
+// TestClosureSlotsAreRecycled: a closure's slot is freed when its event
+// fires, so a chain of At calls reuses one slot instead of growing the
+// table per event.
+func TestClosureSlotsAreRecycled(t *testing.T) {
+	k := New()
+	left := 100
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			k.After(1, step)
+		}
+	}
+	k.After(1, step)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(k.fns) != 1 {
+		t.Fatalf("closure table grew to %d slots for a chain of one in flight, want 1", len(k.fns))
+	}
+	if k.fns[0] != nil {
+		t.Fatal("fired closure still referenced by its slot")
 	}
 }
 

@@ -2,22 +2,22 @@ package sim
 
 import "testing"
 
-// BenchmarkKernelTimerChain measures raw event-loop throughput: one pooled
-// Timer re-arming itself b.N times, i.e. the push → pop → Fire cycle with
-// no process involved. This is the floor every simulated message delivery
-// pays.
+// BenchmarkKernelTimerChain measures raw event-loop throughput: one
+// registered Handler re-arming itself b.N times, i.e. the push → pop →
+// Handle cycle with no process involved. This is the floor every simulated
+// message delivery pays.
 func BenchmarkKernelTimerChain(b *testing.B) {
 	k := New()
-	tm := &countdownTimer{interval: 5}
+	tm := newCountdownTimer(k, 5)
 	tm.left = 16
-	k.AtTimer(1, tm)
+	tm.arm(1)
 	if err := k.Run(); err != nil { // warm the queue backing
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	tm.left = b.N
-	k.AtTimer(k.Now()+1, tm)
+	tm.arm(k.Now() + 1)
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -22,9 +22,10 @@
 // Slab. Payloads sit in one slice indexed by slot and recycled through a
 // LIFO free list: they are written once on push and read once on pop,
 // never moved. Pop clears the vacated slot so the GC sees no stale payload
-// pointers. Buckets, slab and free list keep their capacity across pops
-// and, through Reset, across kernels, so steady-state pushes and pops do
-// not allocate.
+// pointers. The kernel's payload is a 24-byte value without pointers, so
+// its slab is allocated noscan and the GC never walks it. Buckets, slab
+// and free list keep their capacity across pops and, through Reset, across
+// kernels, so steady-state pushes and pops do not allocate.
 //
 // Ordering is total and deterministic: items pop in ascending (at, seq)
 // order, so ties at the same timestamp resolve by insertion sequence —

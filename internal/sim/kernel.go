@@ -7,11 +7,16 @@
 // scheduler and resuming from it are direct coroutine switches on one OS
 // thread, with no channel handoffs and no goroutine parking on the hot
 // path. Processes block on kernel primitives (Sleep, WaitUntil, condition
-// waits) and are resumed by events popped from a global event queue; the
-// queue itself (internal/sim/eventq) stores events by value, so
-// steady-state dispatch performs no allocations. Parallelism belongs one
-// layer up: a Kernel is single-threaded by construction, and
-// internal/runner fans independent simulations out across cores.
+// waits) and are resumed by events popped from a global event queue.
+//
+// An event is a 24-byte value with no pointers: a kind, a target id, an op,
+// two int32 operands and an int64 argument. The target is a process id (a
+// wake), a handler id (a pooled event, see Register and AtOp) or a slot in
+// the kernel's closure table (At). The queue (internal/sim/eventq) stores
+// events by value, so its slab is never scanned by the GC and steady-state
+// dispatch performs no allocations. Parallelism belongs one layer up: a
+// Kernel is single-threaded by construction, and internal/runner fans
+// independent simulations out across cores.
 //
 // Virtual time is int64 nanoseconds. Ties between events at the same
 // timestamp are broken by insertion order, which makes every simulation run
@@ -42,22 +47,35 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // inverse of FromDuration.
 func ToDuration(t Time) time.Duration { return time.Duration(t) }
 
-// Timer is a pooled alternative to a closure event: Fire runs in kernel
-// context exactly like a function scheduled with At. Hot paths (message
-// delivery, completion callbacks) implement Timer on a reusable struct so
-// that scheduling does not allocate a fresh closure per event.
-type Timer interface {
-	// Fire runs the timer's action in kernel context; it must not block.
-	Fire(k *Kernel)
+// Handler runs pooled events: the alternative to a closure for hot paths
+// (message delivery, completion callbacks). A handler is registered once
+// per kernel; each event scheduled with AtOp then carries only an op code,
+// two int32 handles naming the handler's own state and an int64 argument,
+// so scheduling allocates nothing and the queue holds no pointers.
+type Handler interface {
+	// Handle runs one event in kernel context; it must not block.
+	Handle(op uint16, a, b int32, arg int64)
 }
 
-// event is one scheduled entry, stored by value in the queue. Exactly one
-// field is set: proc (wake a blocked process — the kernel's own fast
-// path), timer (pooled callback), or fn (one-shot closure).
+// HandlerID names a Handler registered with a kernel (see Register).
+type HandlerID int32
+
+// Event kinds: how an event's target is read.
+const (
+	evWake    uint8 = iota // target is the id of a process to make runnable
+	evHandler              // target is a HandlerID
+	evFunc                 // target is a slot of the closure table
+)
+
+// event is one scheduled entry, stored by value in the queue. It holds no
+// pointers, so the queue's slab is allocated noscan; op, a, b and arg are
+// the operands of an evHandler event.
 type event struct {
-	proc  *Proc
-	timer Timer
-	fn    func()
+	kind   uint8
+	op     uint16
+	target int32
+	a, b   int32
+	arg    int64
 }
 
 // procState tracks where a process is in its lifecycle.
@@ -156,6 +174,13 @@ type Kernel struct {
 	// cur is the process currently executing (nil in kernel context).
 	cur *Proc
 
+	// handlers is the table AtOp events address by HandlerID.
+	handlers []Handler
+	// fns holds the closures scheduled with At, by slot; a slot is freed
+	// when its event fires and reused LIFO from fnFree.
+	fns    []func()
+	fnFree []int32
+
 	running bool
 	failure error
 
@@ -165,8 +190,11 @@ type Kernel struct {
 
 	// cancel, when non-nil, is polled every cancelCheckInterval events;
 	// once closed, Run aborts with ErrCanceled (see WithCancel).
-	cancel     <-chan struct{}
-	eventCount int
+	cancel <-chan struct{}
+	// events counts the events dispatched from the queue; peakQueue is the
+	// most events ever queued at once.
+	events    int64
+	peakQueue int
 	// aborted flags an early termination (failure, watchdog, cancellation,
 	// deadlock); suspended processes observe it while unwinding.
 	aborted bool
@@ -240,23 +268,51 @@ func (k *Kernel) push(t Time, e event) {
 	}
 	k.seq++
 	k.q.Push(t, k.seq, e)
+	if n := k.q.Len(); n > k.peakQueue {
+		k.peakQueue = n
+	}
 }
 
 // At schedules fn to run in kernel context at absolute virtual time t.
-// Scheduling in the past is clamped to the current time. Hot paths should
-// prefer AtTimer, which can reuse one Timer value instead of allocating a
-// closure per event.
-func (k *Kernel) At(t Time, fn func()) { k.push(t, event{fn: fn}) }
+// Scheduling in the past is clamped to the current time. The closure waits
+// in a kernel-owned slot until its event fires. Hot paths should prefer
+// AtOp, which allocates nothing.
+func (k *Kernel) At(t Time, fn func()) {
+	var slot int32
+	if n := len(k.fnFree); n > 0 {
+		slot = k.fnFree[n-1]
+		k.fnFree = k.fnFree[:n-1]
+		k.fns[slot] = fn
+	} else {
+		slot = int32(len(k.fns))
+		k.fns = append(k.fns, fn)
+	}
+	k.push(t, event{kind: evFunc, target: slot})
+}
 
 // After schedules fn to run d nanoseconds from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
-// AtTimer schedules tm.Fire to run in kernel context at absolute virtual
-// time t. Unlike At, scheduling a reusable Timer allocates nothing.
-func (k *Kernel) AtTimer(t Time, tm Timer) { k.push(t, event{timer: tm}) }
+// Register adds h to the kernel's handler table and returns the id AtOp
+// events address it by. Register once per kernel, not per event.
+func (k *Kernel) Register(h Handler) HandlerID {
+	k.handlers = append(k.handlers, h)
+	return HandlerID(len(k.handlers) - 1)
+}
 
-// AfterTimer schedules tm.Fire to run d nanoseconds from now.
-func (k *Kernel) AfterTimer(d Time, tm Timer) { k.AtTimer(k.now+d, tm) }
+// AtOp schedules h.Handle(op, a, b, arg) to run in kernel context at
+// absolute virtual time t, for a handler h registered with Register.
+// Unlike At, it allocates nothing.
+func (k *Kernel) AtOp(t Time, h HandlerID, op uint16, a, b int32, arg int64) {
+	k.push(t, event{kind: evHandler, op: op, target: int32(h), a: a, b: b, arg: arg})
+}
+
+// Events returns the number of events the kernel has dispatched from its
+// queue. Process wakes count; draining the ready list does not.
+func (k *Kernel) Events() int64 { return k.events }
+
+// PeakQueueLen returns the most events that were ever queued at once.
+func (k *Kernel) PeakQueueLen() int { return k.peakQueue }
 
 // Spawn creates a new process that will start executing fn at the current
 // virtual time (or at simulation start). It returns the process handle.
@@ -312,7 +368,7 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	k := p.k
-	k.push(k.now+d, event{proc: p})
+	k.push(k.now+d, event{kind: evWake, target: int32(p.id)})
 	p.reason = blockInfo{kind: reasonSleep, arg: d}
 	p.suspend()
 }
@@ -324,7 +380,7 @@ func (p *Proc) WaitUntil(t Time) {
 		return
 	}
 	k := p.k
-	k.push(t, event{proc: p})
+	k.push(t, event{kind: evWake, target: int32(p.id)})
 	p.reason = blockInfo{kind: reasonWaitUntil, arg: t}
 	p.suspend()
 }
@@ -333,7 +389,7 @@ func (p *Proc) WaitUntil(t Time) {
 // the current timestamp that were scheduled before this call.
 func (p *Proc) Yield() {
 	k := p.k
-	k.push(k.now, event{proc: p})
+	k.push(k.now, event{kind: evWake, target: int32(p.id)})
 	p.reason = blockInfo{kind: reasonYield}
 	p.suspend()
 }
@@ -439,6 +495,7 @@ func (k *Kernel) Run() error {
 			return err
 		}
 		it := k.q.Pop()
+		k.events++
 		if k.deadline > 0 && it.At > k.deadline {
 			derr := &DeadlineError{
 				DeadlineNs:  k.deadline,
@@ -450,13 +507,16 @@ func (k *Kernel) Run() error {
 		if it.At > k.now {
 			k.now = it.At
 		}
-		switch e := it.V; {
-		case e.proc != nil:
-			k.Ready(e.proc)
-		case e.timer != nil:
-			e.timer.Fire(k)
+		switch e := it.V; e.kind {
+		case evWake:
+			k.Ready(k.procs[e.target])
+		case evHandler:
+			k.handlers[e.target].Handle(e.op, e.a, e.b, e.arg)
 		default:
-			e.fn()
+			fn := k.fns[e.target]
+			k.fns[e.target] = nil
+			k.fnFree = append(k.fnFree, e.target)
+			fn()
 		}
 		if k.failure != nil {
 			return k.abort(k.failure)
@@ -634,8 +694,7 @@ func (k *Kernel) checkCancel(force bool) error {
 	if k.cancel == nil {
 		return nil
 	}
-	k.eventCount++
-	if !force && k.eventCount%cancelCheckInterval != 0 {
+	if !force && k.events%cancelCheckInterval != 0 {
 		return nil
 	}
 	select {

@@ -571,3 +571,31 @@ func TestAbortUnwindsProcessGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestEventCounters: Events counts every event dispatched from the queue —
+// closures, process wakes and handler events alike — and PeakQueueLen the
+// most events queued at once.
+func TestEventCounters(t *testing.T) {
+	k := New()
+	for i := 0; i < 3; i++ {
+		k.At(Time(i), func() {})
+	}
+	tm := newCountdownTimer(k, 1)
+	tm.left = 4
+	tm.arm(100)
+	k.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10)
+		p.Sleep(10)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// 3 closures + 2 wakes + 4 handler events; the sleeper's first wake
+	// joins the 4 events queued before Run.
+	if got := k.Events(); got != 9 {
+		t.Errorf("Events() = %d, want 9", got)
+	}
+	if got := k.PeakQueueLen(); got != 5 {
+		t.Errorf("PeakQueueLen() = %d, want 5", got)
+	}
+}

@@ -4,7 +4,9 @@
 // live selection guarded by coalescing, a bounded worker pool with a shed
 // queue (-cold-queue), a per-request deadline (-select-timeout) and a
 // circuit breaker (-breaker-*) that serves the nearest covered cell while
-// the live path is unhealthy.
+// the live path is unhealthy. Every cell computed live, refined behind a
+// model answer (-model-tier) or received from a peer is promoted into the
+// served table, so the next query for it is a table hit.
 //
 // Endpoints: POST/GET /select, GET /healthz, POST /reload, POST /observe,
 // GET /metrics. SIGHUP also reloads the artifact; SIGINT/SIGTERM first
@@ -59,7 +61,6 @@ func main() {
 	storePath := flag.String("store", "decision_table.json", "decision-table artifact to serve")
 	addr := flag.String("addr", ":8177", "listen address")
 	coldWorkers := flag.Int("cold-workers", 2, "max concurrent live selections for uncovered queries")
-	coldCache := flag.Int("cold-cache", 4096, "cold-result cache capacity (negative disables)")
 	noCold := flag.Bool("no-cold", false, "refuse uncovered queries with 404 instead of computing them")
 	coldQueue := flag.Int("cold-queue", 8, "cold requests allowed to wait for a worker; excess is shed with 429 (negative: no waiting)")
 	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "per-request deadline for cold selections, enforced down into the simulation workers (0 disables)")
@@ -150,7 +151,6 @@ func main() {
 		StorePath:         *storePath,
 		ColdDisabled:      *noCold,
 		ColdWorkers:       *coldWorkers,
-		ColdCacheCap:      *coldCache,
 		ColdQueue:         *coldQueue,
 		SelectTimeout:     *selectTimeout,
 		NegativeRetries:   *negRetries,

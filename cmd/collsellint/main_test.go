@@ -12,7 +12,7 @@ import (
 // the cost `make lint` pays and the CI lint job amortizes through go vet's
 // result cache. The vettool binary is built once outside the timed loop;
 // iterations after the first measure the warm-cache path, so -benchtime 1x
-// (the bench-json setting) reports the cold sweep.
+// reports the cold sweep.
 func BenchmarkLintTree(b *testing.B) {
 	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {

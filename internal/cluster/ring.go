@@ -118,7 +118,7 @@ func hash64(s string) uint64 {
 // CellKey canonicalizes a query into its ownership key. Message sizes are
 // folded into power-of-two bins (the same binning the feedback loop's skew
 // profiles use), so every query landing in one table bin routes to one
-// owner and the owner's cold cache and table cell serve the whole bin. The
+// owner and the owner's table cells (compiled or promoted) serve it. The
 // skew factor is part of the key: tables recompiled under a different
 // empirical factor are different keyspaces.
 func CellKey(collective string, procs, msgBytes int, factor float64) string {

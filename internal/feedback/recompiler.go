@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,16 +23,15 @@ var ErrBusy = errors.New("feedback: ingest buffer full")
 // ErrClosed is returned by Offer after Close.
 var ErrClosed = errors.New("feedback: pipeline closed")
 
-// errStaleBase reports that the table the recompiler compiled from was
-// replaced (an operator /reload won the race) before promotion; the fresh
-// artifact is dropped and the planner re-runs against the new table.
+// errStaleBase reports that the recompiled cells no longer apply to the
+// serving table; they are dropped and the planner re-runs.
 var errStaleBase = errors.New("feedback: base table replaced during recompilation")
 
 // CompileFunc produces the recompiled table for a patch plan; injectable
 // so the chaos harness can fail, hang or instrument recompilations.
 type CompileFunc func(ctx context.Context, base *store.Table, patches []store.CellPatch, digest string) (*store.Table, error)
 
-// ValidateFunc is the post-swap check; injectable for the same reason.
+// ValidateFunc is the pre-publish check; injectable for the same reason.
 type ValidateFunc func(t *store.Table, patches []store.CellPatch) error
 
 // Backoff-state gauge values, exported through Stats.
@@ -75,7 +75,7 @@ type Config struct {
 	Compile  CompileFunc
 	Validate ValidateFunc
 	// Logf, when non-nil, receives one line per ingest error, attempt,
-	// promotion, rollback and park.
+	// promotion and park.
 	Logf func(format string, args ...any)
 
 	// sleep is the backoff timer seam (tests: instant, recording).
@@ -83,9 +83,9 @@ type Config struct {
 }
 
 // Pipeline is the crash-safe closed loop: Offer → bounded buffer → WAL →
-// aggregator → (drift) → background recompiler → verified atomic
-// promotion. One ingest goroutine and one recompiler goroutine; the
-// serving hot path never takes any of its locks.
+// aggregator → (drift) → background recompiler → validated, verified
+// promotion through store.Handle.Update. One ingest goroutine and one
+// recompiler goroutine; the serving hot path never takes any of its locks.
 type Pipeline struct {
 	cfg    Config
 	wal    *WAL
@@ -98,7 +98,10 @@ type Pipeline struct {
 	buf    chan []Record
 	kickCh chan struct{}
 
+	offerMu sync.Mutex // Offer vs Close's cancel: no batch enters buf after the drain
+
 	pending         atomic.Int64 // offered batches not yet folded
+	drained         atomic.Int64 // batches Close wrote to the WAL unfolded
 	batchesIngested atomic.Int64
 	recordsIngested atomic.Int64
 	walErrors       atomic.Int64
@@ -106,7 +109,6 @@ type Pipeline struct {
 	attempts     atomic.Int64
 	successes    atomic.Int64
 	failures     atomic.Int64
-	rollbacks    atomic.Int64
 	swapsLost    atomic.Int64
 	swapGen      atomic.Int64
 	backoffState atomic.Int64
@@ -120,6 +122,7 @@ type Stats struct {
 	WAL             WALStats
 	Profiles        int
 	PendingBatches  int64
+	Drained         int64 // batches Close appended to the WAL unfolded
 	BatchesIngested int64
 	RecordsIngested int64
 	WALErrors       int64
@@ -127,11 +130,8 @@ type Stats struct {
 	RecompileAttempts  int64
 	RecompileSuccesses int64
 	RecompileFailures  int64
-	Rollbacks          int64
 	SwapsLost          int64
-	// SwapGeneration counts promotions by this pipeline (rollbacks do not
-	// decrement: a rollback is itself a swap of the handle, not an undo of
-	// history).
+	// SwapGeneration counts promotions by this pipeline.
 	SwapGeneration int64
 	// BackoffState is BackoffIdle, BackoffWaiting or BackoffParked.
 	BackoffState int64
@@ -211,7 +211,7 @@ func (p *Pipeline) Start() {
 		defer p.wg.Done()
 		p.recompileLoop()
 	}()
-	p.kick() // recovered observations may already warrant a recompile
+	p.Kick() // recovered observations may already warrant a recompile
 }
 
 // Offer hands a validated batch to the pipeline without blocking: it
@@ -222,16 +222,17 @@ func (p *Pipeline) Offer(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	select {
-	case <-p.ctx.Done():
+	p.offerMu.Lock()
+	defer p.offerMu.Unlock()
+	if p.ctx.Err() != nil {
 		return ErrClosed
-	default:
 	}
+	p.pending.Add(1)
 	select {
 	case p.buf <- recs:
-		p.pending.Add(1)
 		return nil
 	default:
+		p.pending.Add(-1)
 		return ErrBusy
 	}
 }
@@ -252,11 +253,13 @@ func (p *Pipeline) Quiesce(ctx context.Context) error {
 	return nil
 }
 
-// Close stops both goroutines, waits for them and closes the WAL. Batches
-// still in the buffer are drained to the WAL first — accepted means
-// durable, short of a crash.
+// Close refuses further offers, stops both goroutines, waits for them and
+// closes the WAL. Batches still in the buffer are drained to the WAL first
+// — accepted means durable, short of a crash.
 func (p *Pipeline) Close() error {
+	p.offerMu.Lock()
 	p.cancel()
+	p.offerMu.Unlock()
 	p.wg.Wait()
 	// Drain accepted batches to the log before closing it.
 	for {
@@ -265,6 +268,7 @@ func (p *Pipeline) Close() error {
 			if err := p.wal.Append(recs); err != nil {
 				p.walErrors.Add(1)
 			}
+			p.drained.Add(1)
 			p.pending.Add(-1)
 			continue
 		default:
@@ -280,28 +284,24 @@ func (p *Pipeline) Stats() Stats {
 		WAL:                p.wal.Stats(),
 		Profiles:           p.agg.Len(),
 		PendingBatches:     p.pending.Load(),
+		Drained:            p.drained.Load(),
 		BatchesIngested:    p.batchesIngested.Load(),
 		RecordsIngested:    p.recordsIngested.Load(),
 		WALErrors:          p.walErrors.Load(),
 		RecompileAttempts:  p.attempts.Load(),
 		RecompileSuccesses: p.successes.Load(),
 		RecompileFailures:  p.failures.Load(),
-		Rollbacks:          p.rollbacks.Load(),
 		SwapsLost:          p.swapsLost.Load(),
 		SwapGeneration:     p.swapGen.Load(),
 		BackoffState:       p.backoffState.Load(),
 	}
 }
 
-// Kick nudges the recompiler to re-plan against the currently served
-// table. The ingest loop kicks on every batch; callers that swap the table
-// underneath the loop (the operator /reload path) kick too, so a reload
-// that reinstalls an un-tuned artifact does not silently discard the
-// accumulated empirical profile until the next observation arrives.
-func (p *Pipeline) Kick() { p.kick() }
-
-// kick nudges the recompiler without blocking; a pending kick is enough.
-func (p *Pipeline) kick() {
+// Kick nudges the recompiler, without blocking, to re-plan against the
+// served table. The ingest loop kicks on every batch, and the /reload
+// path kicks so that a reinstalled un-tuned artifact gets the accumulated
+// empirical profile re-applied without waiting for new observations.
+func (p *Pipeline) Kick() {
 	select {
 	case p.kickCh <- struct{}{}:
 	default:
@@ -326,7 +326,7 @@ func (p *Pipeline) ingestLoop() {
 			p.batchesIngested.Add(1)
 			p.recordsIngested.Add(int64(len(recs)))
 			p.pending.Add(-1)
-			p.kick()
+			p.Kick()
 		}
 	}
 }
@@ -431,15 +431,12 @@ func (p *Pipeline) park(digest string) {
 		p.cfg.MaxFailures, digest)
 }
 
-// attempt runs one recompile-and-promote cycle against base:
-//
-//	compile (deadline-bounded) → Save (atomic temp+rename) → Load back
-//	(checksum + fingerprint verification, the same guards /reload applies)
-//	→ CompareAndSwap promotion (last-writer-wins against operator reloads)
-//	→ post-swap validation → rollback via CompareAndSwap on failure.
-//
-// The table installed in the handle is the Load-verified artifact, so what
-// is being served is exactly what is on disk.
+// attempt recompiles patches against base (deadline-bounded), then, inside
+// Handle.Update, installs the recompiled cells into the current table,
+// validates the candidate, saves it (atomic temp+rename), loads it back
+// through the checksum and fingerprint guards /reload applies, and
+// publishes the verified table — what serves is exactly what is on disk.
+// A candidate that fails any step is never published.
 func (p *Pipeline) attempt(base *store.Table, patches []store.CellPatch, digest string) error {
 	p.attempts.Add(1)
 	ctx := p.ctx
@@ -455,39 +452,65 @@ func (p *Pipeline) attempt(base *store.Table, patches []store.CellPatch, digest 
 	if nt == nil {
 		return fmt.Errorf("feedback: compile returned no table")
 	}
-	if err := nt.Save(p.cfg.ArtifactPath); err != nil {
-		return fmt.Errorf("feedback: persisting artifact: %w", err)
-	}
-	verified, err := store.Load(p.cfg.ArtifactPath)
-	if err != nil {
-		return fmt.Errorf("feedback: verifying artifact: %w", err)
-	}
-	if verified.PlatformFingerprint != base.PlatformFingerprint {
-		return fmt.Errorf("feedback: artifact fingerprint %s drifted from base %s",
-			verified.PlatformFingerprint, base.PlatformFingerprint)
-	}
-	if !p.handle.CompareAndSwap(base, verified) {
+	published, err := p.handle.Update(func(cur *store.Table) (*store.Table, error) {
+		cand, err := installRecompiled(cur, base, nt, patches)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.cfg.Validate(cand, patches); err != nil {
+			return nil, fmt.Errorf("feedback: validation: %w", err)
+		}
+		if err := cand.Save(p.cfg.ArtifactPath); err != nil {
+			return nil, fmt.Errorf("feedback: persisting artifact: %w", err)
+		}
+		verified, err := store.Load(p.cfg.ArtifactPath)
+		if err != nil {
+			return nil, fmt.Errorf("feedback: verifying artifact: %w", err)
+		}
+		if verified.PlatformFingerprint != base.PlatformFingerprint {
+			return nil, fmt.Errorf("feedback: artifact fingerprint %s drifted from base %s",
+				verified.PlatformFingerprint, base.PlatformFingerprint)
+		}
+		return verified, nil
+	})
+	if errors.Is(err, errStaleBase) {
 		p.swapsLost.Add(1)
-		p.logf("feedback: promotion lost the swap race to a concurrent reload (stale base %s)", base.Version)
-		return errStaleBase
+		p.logf("feedback: recompile of table %s is stale, re-planning", base.Version)
+	}
+	if err != nil {
+		return err
 	}
 	p.swapGen.Add(1)
-	if err := p.cfg.Validate(verified, patches); err != nil {
-		if p.handle.CompareAndSwap(verified, base) {
-			p.rollbacks.Add(1)
-			p.logf("feedback: post-swap validation failed, rolled back to table %s: %v", base.Version, err)
-		} else {
-			p.logf("feedback: post-swap validation failed but the table moved on (no rollback): %v", err)
-		}
-		return fmt.Errorf("feedback: post-swap validation: %w", err)
-	}
 	p.successes.Add(1)
-	p.logf("feedback: promoted table %s (%d cells recompiled, profile %s, was %s)",
-		verified.Version, len(patches), digest, base.Version)
+	p.logf("feedback: promoted table %s (%d cells recompiled, profile %s, base %s)",
+		published.Version, len(patches), digest, base.Version)
 	return nil
 }
 
-// validatePatched is the default post-swap check: every patched cell must
+// installRecompiled returns cur with nt's patched cells and profile
+// digest. A recompile applies to cur only if cur has base's provenance and
+// base's patched cells; cells cur gained since base are kept.
+func installRecompiled(cur, base, nt *store.Table, patches []store.CellPatch) (*store.Table, error) {
+	if store.ProvenanceKey(cur) != store.ProvenanceKey(base) {
+		return nil, errStaleBase
+	}
+	cand := cur
+	for _, pa := range patches {
+		was, _ := base.Get(pa.Collective, pa.Procs, pa.MsgBytes)
+		if now, _ := cur.Get(pa.Collective, pa.Procs, pa.MsgBytes); !reflect.DeepEqual(now, was) {
+			return nil, errStaleBase
+		}
+		lk, _ := nt.Get(pa.Collective, pa.Procs, pa.MsgBytes)
+		var err error
+		if cand, err = store.WithCell(cand, pa.Collective, pa.Procs, lk.Cell); err != nil {
+			return nil, err
+		}
+	}
+	cand.ProfileDigest = nt.ProfileDigest // cand is a fresh copy: patches is never empty
+	return cand, cand.Finalize()
+}
+
+// validatePatched is the default pre-publish check: every patched cell must
 // answer an exact lookup, carry its empirical factor, and name an
 // algorithm the live registry can resolve — the properties /select relies
 // on.

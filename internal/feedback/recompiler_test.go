@@ -216,6 +216,9 @@ func TestPipelineBackoffLadderAndPark(t *testing.T) {
 	}
 }
 
+// TestPipelineRollbackOnFailedValidation pins that a candidate failing
+// validation is never published: the handle keeps serving base, no
+// install happens (Swaps does not move) and no artifact is written.
 func TestPipelineRollbackOnFailedValidation(t *testing.T) {
 	base := compileBase(t, 3)
 	h := store.NewHandle(base)
@@ -238,13 +241,76 @@ func TestPipelineRollbackOnFailedValidation(t *testing.T) {
 	if err := p.Offer(driftBatch(2.0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "park after rollbacks", func() bool { return p.Stats().BackoffState == BackoffParked })
+	waitFor(t, "park after failed validations", func() bool { return p.Stats().BackoffState == BackoffParked })
 	st := p.Stats()
-	if st.Rollbacks != 2 {
-		t.Fatalf("rollbacks = %d, want 2 (one per failed validation)", st.Rollbacks)
+	if st.RecompileFailures != 2 || st.SwapGeneration != 0 {
+		t.Fatalf("stats %+v, want 2 failures and no promotion", st)
 	}
 	if h.Table() != base {
-		t.Fatalf("rollback must restore the base table (serving %s)", h.Table().Version)
+		t.Fatalf("a candidate that failed validation was published (serving %s)", h.Table().Version)
+	}
+	if got := h.Swaps(); got != 1 {
+		t.Fatalf("swaps = %d, want 1 (the initial install only)", got)
+	}
+	if _, err := os.Stat(p.cfg.ArtifactPath); !os.IsNotExist(err) {
+		t.Fatalf("artifact written for an unpublished candidate: %v", err)
+	}
+}
+
+// TestPipelineKeepsCellsPromotedDuringRecompile promotes an unrelated cell
+// while a recompile is running. The serving table then differs from the
+// recompile's base only by that cell, so the recompiled cells are
+// installed into it in one attempt and the promoted cell survives.
+func TestPipelineKeepsCellsPromotedDuringRecompile(t *testing.T) {
+	base := compileBase(t, 3)
+	h := store.NewHandle(base)
+	extra := store.Cell{MsgBytes: 64, Winner: store.AlgoRef{ID: 3, Name: "bruck"}, Score: 1,
+		Conventional: store.AlgoRef{ID: 3, Name: "bruck"}}
+	var once sync.Once
+	p, err := New(Config{
+		WALDir: t.TempDir(),
+		Handle: h,
+		Compile: func(ctx context.Context, b *store.Table, patches []store.CellPatch, digest string) (*store.Table, error) {
+			once.Do(func() {
+				if _, err := h.Update(func(cur *store.Table) (*store.Table, error) {
+					return store.WithCell(cur, coll.Alltoall, 8, extra)
+				}); err != nil {
+					t.Error(err)
+				}
+			})
+			return store.RecompileCells(ctx, b, patches, store.RecompileConfig{ProfileDigest: digest})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	defer p.Close()
+
+	if err := p.Offer(driftBatch(2.0, 50)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "promotion", func() bool { return p.Stats().SwapGeneration >= 1 })
+	st := p.Stats()
+	if st.RecompileAttempts != 1 || st.SwapsLost != 0 || st.RecompileFailures != 0 {
+		t.Fatalf("stats %+v, want one attempt that landed", st)
+	}
+	nt := h.Table()
+	if lk, ok := nt.Get(coll.Alltoall, 8, 64); !ok || !lk.Exact || lk.Cell.Winner != extra.Winner {
+		t.Fatalf("promoted cell lost by the recompile: ok=%v %+v", ok, lk)
+	}
+	if lk, ok := nt.Get(coll.Alltoall, 8, 512); !ok || lk.Cell.Factor != 2.0 {
+		t.Fatalf("recompiled cell missing: ok=%v %+v", ok, lk)
+	}
+	if nt.ProfileDigest == "" {
+		t.Fatal("published table lacks the profile digest")
+	}
+	onDisk, err := store.Load(p.cfg.ArtifactPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk.Version != nt.Version {
+		t.Fatalf("served %s, on disk %s", nt.Version, onDisk.Version)
 	}
 }
 

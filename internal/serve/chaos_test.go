@@ -390,8 +390,8 @@ func TestChaosSlowCallTripsBreaker(t *testing.T) {
 
 // TestNegativeColdCaching pins the negative-cache contract: a failing cold
 // cell is recomputed NegativeRetries times, then its failure is served from
-// cache without occupying a worker; a retry that succeeds replaces the
-// cached failure with the computed cell.
+// cache without occupying a worker; a retry that succeeds forgets the
+// failure and promotes the computed cell into the table.
 func TestNegativeColdCaching(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -436,7 +436,7 @@ func TestNegativeColdCaching(t *testing.T) {
 	}
 
 	// A fresh cell whose retry succeeds: the computed cell replaces the
-	// cached failure and later requests hit the positive cache.
+	// cached failure and later requests are exact table hits.
 	fail.Store(true)
 	req2 := SelectRequest{Collective: "alltoall", MsgBytes: 3, Procs: 8}
 	if _, code := postSelect(t, ts.URL, req2); code != http.StatusInternalServerError {
@@ -448,16 +448,18 @@ func TestNegativeColdCaching(t *testing.T) {
 		t.Fatalf("recovery retry: code=%d %+v", code, got)
 	}
 	got, code = postSelect(t, ts.URL, req2)
-	if code != http.StatusOK || got.Source != "cold_cache" || got.Algorithm.Name != "recovered" {
-		t.Fatalf("post-recovery cache: code=%d %+v", code, got)
+	if code != http.StatusOK || got.Source != "table" || !got.Exact || got.Algorithm.Name != "recovered" {
+		t.Fatalf("post-recovery table hit: code=%d %+v", code, got)
 	}
 }
 
 // TestChaosReloadStormWithColdChurn hammers hot and cold queries while the
-// artifact on disk is alternated and reloaded. The invariants: no torn
-// response (every 200 is internally consistent with exactly one of the two
-// table versions), no 5xx other than deliberate deadline hits, and the
-// swap counter accounts for every install.
+// artifact on disk is alternated and reloaded, and computed cold cells are
+// promoted into whichever table is serving. The invariants: no torn
+// response (every 200 names one table the run can install — a base
+// artifact plus some of the promoted cells — and answers exactly as that
+// table does), no 5xx other than deliberate deadline hits, and the swap
+// counter accounts for every install: the reloads plus the promotions.
 func TestChaosReloadStormWithColdChurn(t *testing.T) {
 	leakCheck(t)
 	tbA := compileTiny(t, 1)
@@ -465,13 +467,29 @@ func TestChaosReloadStormWithColdChurn(t *testing.T) {
 	if tbA.Version == tbB.Version {
 		t.Fatal("test tables have identical versions")
 	}
-	winners := map[string]store.AlgoRef{}
-	for _, tb := range []*store.Table{tbA, tbB} {
-		lk, ok := tb.Get(coll.Alltoall, 8, 512)
-		if !ok {
-			t.Fatal("compiled cell missing")
+	coldCell := func(msgBytes int) store.Cell {
+		return store.Cell{MsgBytes: msgBytes, Winner: store.AlgoRef{ID: 3, Name: "bruck"}, Score: 1}
+	}
+	// Every table the run can install: either artifact plus any subset of
+	// the seven cold cells, by version.
+	installable := map[string]*store.Table{}
+	for _, base := range []*store.Table{tbA, tbB} {
+		reach := []*store.Table{base}
+		for size := 2; size <= 8; size++ {
+			for _, tb := range reach {
+				nt, err := store.WithCell(tb, coll.Alltoall, 8, coldCell(size))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reach = append(reach, nt)
+			}
 		}
-		winners[tb.Version] = lk.Cell.Winner
+		for _, tb := range reach {
+			installable[tb.Version] = tb
+		}
+	}
+	if len(installable) != 2<<7 {
+		t.Fatalf("%d installable tables, want %d", len(installable), 2<<7)
 	}
 
 	path := filepath.Join(t.TempDir(), "table.json")
@@ -482,7 +500,7 @@ func TestChaosReloadStormWithColdChurn(t *testing.T) {
 		Handle:    store.NewHandle(tbA),
 		StorePath: path,
 		Cold: func(ctx context.Context, _ *store.Table, _ coll.Collective, _, msgBytes int) (store.Cell, error) {
-			return store.Cell{MsgBytes: msgBytes, Winner: store.AlgoRef{ID: 3, Name: "bruck"}, Score: 1}, nil
+			return coldCell(msgBytes), nil
 		},
 		ColdWorkers:   2,
 		ColdQueue:     8,
@@ -525,13 +543,23 @@ func TestChaosReloadStormWithColdChurn(t *testing.T) {
 						report("reader %d: torn 200 body %q: %v", r, body, err)
 						return
 					}
-					if _, ok := winners[resp.TableVersion]; !ok {
+					tb, ok := installable[resp.TableVersion]
+					if !ok {
 						report("reader %d: unknown table version %q", r, resp.TableVersion)
 						return
 					}
-					if resp.Source == "table" && resp.Algorithm != winners[resp.TableVersion] {
-						report("reader %d: torn response: version %s answered %+v, want %+v",
-							r, resp.TableVersion, resp.Algorithm, winners[resp.TableVersion])
+					want, exact := coldCell(req.MsgBytes).Winner, true
+					if resp.Source == "table" {
+						lk, ok := tb.Get(coll.Alltoall, 8, req.MsgBytes)
+						if !ok {
+							report("reader %d: table %s answered %d B, which it does not cover", r, resp.TableVersion, req.MsgBytes)
+							return
+						}
+						want, exact = lk.Cell.Winner, lk.Exact
+					}
+					if resp.Algorithm != want || resp.Exact != exact {
+						report("reader %d: torn response: version %s %s answered %+v exact=%v, want %+v exact=%v",
+							r, resp.TableVersion, resp.Source, resp.Algorithm, resp.Exact, want, exact)
 						return
 					}
 				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
@@ -560,13 +588,21 @@ func TestChaosReloadStormWithColdChurn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	s.WaitBackground()
 	select {
 	case msg := <-errs:
 		t.Fatal(msg)
 	default:
 	}
-	if s.handle.Swaps() != 11 {
-		t.Fatalf("swaps %d, want 11", s.handle.Swaps())
+	promotions := s.metrics.promotions.Load()
+	if promotions == 0 {
+		t.Fatal("no cold cell was promoted during the storm")
+	}
+	if got := s.handle.Swaps(); got != 11+promotions {
+		t.Fatalf("swaps %d, want 11 (initial install and reloads) + %d promotions", got, promotions)
+	}
+	if _, ok := installable[s.handle.Table().Version]; !ok {
+		t.Fatalf("final table %s is not installable", s.handle.Table().Version)
 	}
 }
 

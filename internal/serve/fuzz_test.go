@@ -117,7 +117,7 @@ func FuzzPeerCell(f *testing.F) {
 	f.Add([]byte(`]]]`))
 	f.Add(bytes.Repeat([]byte(`{"machine":"aaaaaaaa",`), 8192))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// 200 promoted/ignored/lost-swap, 400 malformed, 409 provenance
+		// 200 promoted/ignored, 400 malformed, 409 provenance
 		// mismatch, 413 oversized — never a panic, never a 5xx.
 		fuzzPost(t, url+"/peer/cell", body,
 			http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge)

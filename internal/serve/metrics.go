@@ -21,17 +21,17 @@ type metrics struct {
 	requests   map[[2]string]*atomic.Int64
 
 	// Select-path traffic.
-	tableHits     atomic.Int64 // answered from the loaded table
-	tableMisses   atomic.Int64 // not in the table (cold path or refusal)
-	coldComputes  atomic.Int64 // live selections actually executed
-	coldCacheHits atomic.Int64 // answered from the cold-result cache
-	coalesced     atomic.Int64 // requests that waited on an in-flight twin
-	inflightCold  atomic.Int64 // cold selections currently executing
+	tableHits    atomic.Int64 // answered from the loaded table
+	tableMisses  atomic.Int64 // not in the table (cold path or refusal)
+	coldComputes atomic.Int64 // live selections actually executed
+	coalesced    atomic.Int64 // requests that waited on an in-flight twin
+	inflightCold atomic.Int64 // cold selections currently executing
 
 	// sources counts served /select answers by response source, indexed
-	// like sourceNames; modelPromotions counts background refinements that
-	// made it into the serving table.
+	// like sourceNames; promotions counts cells installed into the table,
+	// modelPromotions those from background refinements.
 	sources         [len(sourceNames)]atomic.Int64
+	promotions      atomic.Int64
 	modelPromotions atomic.Int64
 
 	// Coverage accounting: every well-formed /select query against a
@@ -62,7 +62,6 @@ type metrics struct {
 	peerCellsAccepted atomic.Int64 // /peer/cell payloads promoted into the table
 	peerCellsIgnored  atomic.Int64 // /peer/cell payloads identical to a compiled cell
 	peerCellsRejected atomic.Int64 // /peer/cell payloads rejected (malformed or wrong provenance)
-	peerCellsLostSwap atomic.Int64 // /peer/cell promotions that lost the swap race
 
 	// artifactFallbacks counts table loads served from the retained
 	// last-known-good artifact because the primary was corrupt or missing.
@@ -78,7 +77,7 @@ func newMetrics() *metrics {
 
 // sourceNames is the fixed label set of collseld_select_source_total, in
 // render order. Every fillFromCell site maps to exactly one of these.
-var sourceNames = [...]string{"cold_cache", "computed", "model", "nearest-degraded", "peer", "table"}
+var sourceNames = [...]string{"computed", "model", "nearest-degraded", "peer", "table"}
 
 func (m *metrics) countSource(source string) {
 	for i, n := range sourceNames {
@@ -214,13 +213,13 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 	e.counter("collseld_table_hits_total", "Select queries answered from the decision table.", m.tableHits.Load())
 	e.counter("collseld_table_misses_total", "Select queries not covered by the decision table.", m.tableMisses.Load())
 	e.counter("collseld_cold_computes_total", "Live selections executed for cold cells.", m.coldComputes.Load())
-	e.counter("collseld_cold_cache_hits_total", "Select queries answered from the cold-result cache.", m.coldCacheHits.Load())
 	e.counter("collseld_coalesced_total", "Select queries coalesced onto an in-flight selection.", m.coalesced.Load())
 	e.counter("collseld_shed_total", "Cold requests shed with 429 (wait queue full).", m.shed.Load())
 	e.counter("collseld_deadline_exceeded_total", "Select requests that exceeded the selection deadline.", m.deadlineExceeded.Load())
 	e.counter("collseld_client_cancel_total", "Select requests abandoned by the client (499).", m.clientCancels.Load())
 	e.counter("collseld_negative_cache_hits_total", "Cold queries answered from a cached failure.", m.negativeHits.Load())
 	e.counter("collseld_degraded_answers_total", "Nearest-cell answers served while the circuit breaker was open.", m.degradedAnswers.Load())
+	e.counter("collseld_promotions_total", "Cells promoted into the serving table (computed, refined or from a peer).", m.promotions.Load())
 	e.counter("collseld_model_promotions_total", "Model-tier background refinements promoted into the serving table.", m.modelPromotions.Load())
 	e.counter("collseld_artifact_fallbacks_total", "Table loads recovered from the last-known-good artifact.", m.artifactFallbacks.Load())
 
@@ -256,12 +255,8 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 	fmt.Fprintf(b, "# HELP collseld_table_age_seconds Seconds since the table was installed.\n")
 	fmt.Fprintf(b, "# TYPE collseld_table_age_seconds gauge\n")
 	fmt.Fprintf(b, "collseld_table_age_seconds %g\n", age)
-	fmt.Fprintf(b, "# HELP collseld_table_cells Compiled cells in the loaded table.\n")
-	fmt.Fprintf(b, "# TYPE collseld_table_cells gauge\n")
-	fmt.Fprintf(b, "collseld_table_cells %d\n", cells)
-	fmt.Fprintf(b, "# HELP collseld_table_swaps_total Table installs (initial load and reloads).\n")
-	fmt.Fprintf(b, "# TYPE collseld_table_swaps_total counter\n")
-	fmt.Fprintf(b, "collseld_table_swaps_total %d\n", swaps)
+	e.gauge("collseld_table_cells", "Compiled cells in the loaded table.", int64(cells))
+	e.counter("collseld_table_swaps_total", "Table installs (initial load, reloads, promotions and feedback recompiles).", swaps)
 }
 
 func formatFloat(v float64) string { return fmt.Sprintf("%g", v) }
@@ -303,7 +298,6 @@ func renderFeedback(b *strings.Builder, m *metrics, st feedback.Stats) {
 	e.counter("collseld_feedback_recompile_attempts_total", "Background recompilation attempts.", st.RecompileAttempts)
 	e.counter("collseld_feedback_recompile_successes_total", "Recompilations promoted into the serving table.", st.RecompileSuccesses)
 	e.counter("collseld_feedback_recompile_failures_total", "Recompilation attempts that failed.", st.RecompileFailures)
-	e.counter("collseld_feedback_rollbacks_total", "Promotions rolled back after failed post-swap validation.", st.Rollbacks)
 	e.counter("collseld_feedback_swaps_lost_total", "Promotions dropped after losing the swap race to a reload.", st.SwapsLost)
 	e.counter("collseld_feedback_swaps_total", "Tables promoted by the feedback loop.", st.SwapGeneration)
 	e.gauge("collseld_feedback_backoff_state", "Recompiler backoff state (0=idle, 1=waiting, 2=parked).", st.BackoffState)
@@ -342,5 +336,4 @@ func renderCluster(b *strings.Builder, m *metrics, st cluster.Stats) {
 	e.counter("collseld_peer_cells_accepted_total", "Gossiped peer cells promoted into the serving table.", m.peerCellsAccepted.Load())
 	e.counter("collseld_peer_cells_ignored_total", "Gossiped peer cells identical to an already-compiled cell.", m.peerCellsIgnored.Load())
 	e.counter("collseld_peer_cells_rejected_total", "Gossiped peer cells rejected (malformed or wrong provenance).", m.peerCellsRejected.Load())
-	e.counter("collseld_peer_cells_lost_swap_total", "Gossiped peer cells dropped after losing the table-swap race.", m.peerCellsLostSwap.Load())
 }

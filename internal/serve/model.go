@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"context"
-	"time"
-
 	"collsel/internal/coll"
 	"collsel/internal/model"
 	"collsel/internal/store"
@@ -16,12 +13,13 @@ import (
 // same cell and promotes the result into the hot table. The next query for
 // the cell is a plain table hit; the model answer was only ever a bridge.
 //
-// The refinement reuses the cold path's machinery unchanged — admission
-// pool, circuit breaker, cold cache — so model-triggered background work
-// competes for the same bounded resources as foreground cold selections
-// and can never saturate the process. When the pool sheds or the breaker
-// is open the refinement is simply dropped; the client already has its
-// model answer, and a later query retriggers it.
+// The refinement is a cold flight like a foreground compute — same flight
+// key, admission pool, circuit breaker and promotion (promote.go) — so
+// model-triggered background work competes for the same bounded resources
+// as foreground cold selections and can never saturate the process. When
+// the pool sheds or the breaker is open the refinement is simply dropped;
+// the client already has its model answer, and a later query retriggers
+// it.
 
 // modelAnswer computes the analytical-model estimate for an uncovered
 // cell under the table's provenance (machine, skew factor, seed). It
@@ -60,75 +58,27 @@ func (s *Server) modelAnswer(t *store.Table, c coll.Collective, procs, msgBytes 
 }
 
 // refineAsync starts the background simulation that upgrades a model
-// answer: the cell is computed exactly as the cold path would, cached,
-// then promoted into the serving table with a CompareAndSwap against the
-// snapshot the model answered under — losing the race to a concurrent
-// /reload (or another promotion) drops this promotion rather than
-// clobbering a newer table. At most one refinement per query key is in
-// flight.
+// answer, as the leader of key's flight; when a foreground compute or
+// another refinement already leads it, nothing starts. A /reload of a
+// different artifact wins over the refinement, whose cell is dropped.
 func (s *Server) refineAsync(t *store.Table, c coll.Collective, procs, msgBytes int, key string) {
-	s.refineMu.Lock()
-	if s.refining[key] {
-		s.refineMu.Unlock()
+	f, leader := s.flights.join(key)
+	if !leader {
 		return
 	}
-	s.refining[key] = true
-	s.refineMu.Unlock()
-
 	s.refineWG.Add(1)
-	//collsel:goroutine bounded by the refining-key dedup map and joined by WaitBackground; admission below borrows a cold worker slot
+	//collsel:goroutine one per cell flight, joined by WaitBackground; admission in compute borrows a cold worker slot
 	go func() {
 		defer s.refineWG.Done()
-		defer func() {
-			s.refineMu.Lock()
-			delete(s.refining, key)
-			s.refineMu.Unlock()
-		}()
-		// The refinement outlives the request that triggered it; its own
-		// deadline is applied below. (No ctxplumb suppression needed: the
-		// requester's context is deliberately not passed into this frame.)
-		ctx := context.Background()
-		if s.cfg.SelectTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.SelectTimeout)
-			defer cancel()
-		}
-		release, err := s.cold.acquire(ctx)
-		if err != nil {
-			return // shed: the model answer already went out, a later query retries
-		}
-		defer release()
-		if !s.breaker.allow() {
-			return
-		}
-		s.metrics.inflightCold.Add(1)
-		defer s.metrics.inflightCold.Add(-1)
-		s.metrics.coldComputes.Add(1)
-		s.logf("model refine: %s %d procs %d B (table %s)", c, procs, msgBytes, t.Version)
-		began := time.Now()
-		cell, err := s.cfg.Cold(ctx, t, c, procs, msgBytes)
-		s.breaker.record(time.Since(began), err)
-		if err != nil {
-			if !isTransient(err) {
-				s.coldStore(key, coldEntry{errMsg: err.Error(), retries: s.cfg.NegativeRetries})
-			}
-			return
-		}
-		s.coldStore(key, coldEntry{cell: cell})
-		promoted, err := store.WithCell(t, c, procs, cell)
-		if err != nil {
-			return
-		}
-		if s.handle.CompareAndSwap(t, promoted) {
+		cell, landed, err := s.compute(t, c, procs, msgBytes, key)
+		if landed {
 			s.metrics.modelPromotions.Add(1)
-			s.logf("model refine: promoted %s %d procs %d B into table %s -> %s",
-				c, procs, msgBytes, t.Version, promoted.Version)
-			s.shareCold(t, c, procs, cell)
 		}
+		s.flights.finish(key, f, cell, err)
 	}()
 }
 
-// WaitBackground blocks until every in-flight background refinement has
-// finished. Tests and orderly shutdown use it; the serving path never
-// waits on it.
+// WaitBackground blocks until every started background refinement has
+// been promoted or dropped. Tests and orderly shutdown use it; the serving
+// path never waits on it.
 func (s *Server) WaitBackground() { s.refineWG.Wait() }

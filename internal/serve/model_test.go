@@ -137,9 +137,7 @@ func TestModelTierRefineDedup(t *testing.T) {
 	}
 	for i := 0; i < 32; i++ {
 		src := <-done
-		// cold_cache covers the window between the refined cell landing in
-		// the cold cache and its promotion becoming visible.
-		if src != "model" && src != "table" && src != "cold_cache" {
+		if src != "model" && src != "table" {
 			t.Fatalf("response %d: source %q", i, src)
 		}
 	}
@@ -149,6 +147,52 @@ func TestModelTierRefineDedup(t *testing.T) {
 	}
 	if got := s.metrics.coldComputes.Load(); got > 4 {
 		t.Fatalf("%d cold computes for one cell; dedup failed", got)
+	}
+}
+
+// TestConcurrentDistinctPromotionsAllLand refines 16 distinct uncovered
+// cells at once, two simulations at a time. Every refinement computes its
+// cell once and every promotion lands: after WaitBackground each cell is
+// an exact table hit.
+func TestConcurrentDistinctPromotionsAllLand(t *testing.T) {
+	tb := compileTiny(t, 1)
+	h := store.NewHandle(tb)
+	gate := make(chan struct{})
+	s, ts := newTestServer(t, Config{
+		Handle:      h,
+		ModelTier:   true,
+		ColdWorkers: 2,
+		ColdQueue:   16, // every refinement waits for a worker; none is shed
+		Cold: func(ctx context.Context, _ *store.Table, _ coll.Collective, _, msgBytes int) (store.Cell, error) {
+			<-gate // hold the first refinements until every cell has missed
+			return store.Cell{MsgBytes: msgBytes, Winner: store.AlgoRef{ID: 3, Name: "bruck"}, Score: 1}, nil
+		},
+	})
+	const cells = 16
+	size := func(i int) int { return 100 + 10*i } // all below the compiled 512 B
+	for i := 0; i < cells; i++ {
+		resp, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: size(i), Procs: 8})
+		if code != http.StatusOK || resp.Source != "model" {
+			t.Fatalf("cell %d: HTTP %d source %q, want a model answer", i, code, resp.Source)
+		}
+	}
+	close(gate)
+	s.WaitBackground()
+	for i := 0; i < cells; i++ {
+		resp, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: size(i), Procs: 8})
+		if code != http.StatusOK || resp.Source != "table" || !resp.Exact || resp.Algorithm.Name != "bruck" {
+			t.Fatalf("cell %d after refinement: HTTP %d source %q exact %v alg %q, want an exact table hit",
+				i, code, resp.Source, resp.Exact, resp.Algorithm.Name)
+		}
+	}
+	if got := s.metrics.coldComputes.Load(); got != cells {
+		t.Fatalf("%d cold computes, want %d", got, cells)
+	}
+	if got := s.metrics.modelPromotions.Load(); got != cells {
+		t.Fatalf("%d model promotions, want %d", got, cells)
+	}
+	if got := h.Swaps(); got != 1+cells {
+		t.Fatalf("swaps %d, want %d (initial install + one per cell)", got, 1+cells)
 	}
 }
 

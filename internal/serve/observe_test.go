@@ -350,13 +350,16 @@ func TestChaosObserveDrainNoLeak(t *testing.T) {
 	if code, _ := postObserve(t, ts.URL, driftObs(1.2, 1)); code != http.StatusServiceUnavailable {
 		t.Fatalf("observe after drain: HTTP %d, want 503", code)
 	}
-	// Accepted means durable: everything that got a 202 is in the WAL.
+	// Accepted means durable: everything that got a 202 is in the WAL,
+	// folded by the ingester or drained by Close (each test batch is one
+	// record), and nothing is left pending.
 	st := p.Stats()
-	if st.WAL.Records != st.RecordsIngested+st.PendingBatches {
-		// Close drains pending batches straight to the WAL without folding;
-		// each test batch is one record.
-		t.Fatalf("drain lost records: WAL %d, ingested %d + pending %d",
-			st.WAL.Records, st.RecordsIngested, st.PendingBatches)
+	if st.PendingBatches != 0 {
+		t.Fatalf("%d batches pending after Close", st.PendingBatches)
+	}
+	if st.WAL.Records != st.RecordsIngested+st.Drained {
+		t.Fatalf("drain lost records: WAL %d, ingested %d + drained %d",
+			st.WAL.Records, st.RecordsIngested, st.Drained)
 	}
 }
 
@@ -412,8 +415,7 @@ func TestObserveMetricsExposition(t *testing.T) {
 
 // BenchmarkObserveIngest measures the full /observe ingestion path —
 // handler validation, quantization, buffered hand-off, WAL append and
-// aggregate fold — in records per operation (16-record batches). Recorded
-// by `make bench-json` alongside the /select benchmarks.
+// aggregate fold — in records per operation (16-record batches).
 func BenchmarkObserveIngest(b *testing.B) {
 	tb := compileTiny(b, 1)
 	h := store.NewHandle(tb)

@@ -12,9 +12,9 @@ import (
 	"collsel/internal/store"
 )
 
-// The peer rung sits between the cold cache and the model tier: a cold
-// query whose cell is owned by another replica is forwarded there instead
-// of simulated locally, so across the cluster each cold cell is computed
+// The peer rung sits between the table and the model tier: a cold query
+// whose cell is owned by another replica is forwarded there instead of
+// simulated locally, so across the cluster each cold cell is computed
 // (roughly) once instead of once per replica. Peers are strictly an
 // optimization — every forward failure, unhealthy owner or exhausted
 // hedge budget falls through to the local ladder, which can always
@@ -41,9 +41,8 @@ type PeerCellMsg struct {
 
 // PeerCellResponse is the /peer/cell answer.
 type PeerCellResponse struct {
-	// Status is "promoted" (the cell entered the serving table), "ignored"
-	// (an identical cell is already compiled) or "lost-swap" (a concurrent
-	// reload or promotion won the CAS race; the sender must not retry).
+	// Status is "promoted" (the cell entered the serving table) or
+	// "ignored" (the table already held an identical cell).
 	Status       string `json:"status"`
 	TableVersion string `json:"table_version,omitempty"`
 }
@@ -78,11 +77,10 @@ func validatePeerCell(msg PeerCellMsg) (coll.Collective, error) {
 }
 
 // handlePeerCell ingests one gossiped cold result from a peer replica and
-// promotes it into the serving table. Promotion goes through the same
-// CompareAndSwap discipline as the model tier's background refinement:
-// losing the swap race to a /reload or another promotion drops this cell
-// (the sender never retries — the cell will be re-shared or re-simulated
-// if it ever matters again).
+// promotes it into the serving table, like every other promotion
+// (promote.go). A reload that changes the table's provenance between the
+// check below and the promotion drops the cell with a 409, as if the
+// check had seen it.
 func (s *Server) handlePeerCell(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Cluster == nil {
 		s.httpError(w, "peer_cell", http.StatusNotFound, "clustering disabled (-peers not set)")
@@ -95,13 +93,12 @@ func (s *Server) handlePeerCell(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxPeerCellBody)
 	var msg PeerCellMsg
 	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
+		s.metrics.peerCellsRejected.Add(1)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.metrics.peerCellsRejected.Add(1)
 			s.httpError(w, "peer_cell", http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxPeerCellBody)
 			return
 		}
-		s.metrics.peerCellsRejected.Add(1)
 		s.httpError(w, "peer_cell", http.StatusBadRequest, "bad JSON body: %v", err)
 		return
 	}
@@ -124,38 +121,19 @@ func (s *Server) handlePeerCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Identical-cell suppression: after a partition heals, peers re-share
-	// cells everyone already has; re-promoting them would churn table
-	// versions for nothing.
-	if lk, ok := t.Get(c, msg.Procs, msg.Cell.MsgBytes); ok && lk.Exact && lk.Cell.Winner == msg.Cell.Winner && lk.Cell.Score == msg.Cell.Score {
+	// cells everyone already has; promote leaves the table (and its
+	// version) alone for those.
+	switch s.promote(t, c, msg.Procs, msg.Cell) {
+	case dropped:
+		s.metrics.peerCellsRejected.Add(1)
+		s.httpError(w, "peer_cell", http.StatusConflict, "the table's provenance changed during promotion")
+	case unchanged:
 		s.metrics.peerCellsIgnored.Add(1)
-		s.writeJSON(w, "peer_cell", http.StatusOK, PeerCellResponse{Status: "ignored", TableVersion: t.Version})
-		return
+		s.writeJSON(w, "peer_cell", http.StatusOK, PeerCellResponse{Status: "ignored", TableVersion: s.handle.Table().Version})
+	default:
+		s.metrics.peerCellsAccepted.Add(1)
+		s.writeJSON(w, "peer_cell", http.StatusOK, PeerCellResponse{Status: "promoted", TableVersion: s.handle.Table().Version})
 	}
-	// One CAS retry against a refreshed snapshot absorbs a concurrent
-	// promotion of a *different* cell; losing twice means a reload is in
-	// flight and this gossip gracefully yields to it.
-	for attempt := 0; attempt < 2; attempt++ {
-		promoted, err := store.WithCell(t, c, msg.Procs, msg.Cell)
-		if err != nil {
-			s.metrics.peerCellsRejected.Add(1)
-			s.httpError(w, "peer_cell", http.StatusBadRequest, "%v", err)
-			return
-		}
-		if s.handle.CompareAndSwap(t, promoted) {
-			s.metrics.peerCellsAccepted.Add(1)
-			s.logf("peer cell: promoted %s %d procs %d B from peer (table %s -> %s)",
-				c, msg.Procs, msg.Cell.MsgBytes, t.Version, promoted.Version)
-			s.writeJSON(w, "peer_cell", http.StatusOK, PeerCellResponse{Status: "promoted", TableVersion: promoted.Version})
-			return
-		}
-		t = s.handle.Table()
-		if t == nil {
-			s.httpError(w, "peer_cell", http.StatusServiceUnavailable, "no decision table loaded")
-			return
-		}
-	}
-	s.metrics.peerCellsLostSwap.Add(1)
-	s.writeJSON(w, "peer_cell", http.StatusOK, PeerCellResponse{Status: "lost-swap", TableVersion: t.Version})
 }
 
 // shareCold gossips one locally computed cell to the other replicas, so
@@ -187,7 +165,7 @@ func (s *Server) shareCold(t *store.Table, c coll.Collective, procs int, cell st
 // owner, exhausted budget, transport failure, or an unusable peer
 // response. The caller loses nothing by the attempt but latency, and the
 // hedge delay bounds even that.
-func (s *Server) peerAnswer(r *http.Request, t *store.Table, c coll.Collective, req SelectRequest, resp *SelectResponse, key string) bool {
+func (s *Server) peerAnswer(r *http.Request, t *store.Table, c coll.Collective, req SelectRequest, resp *SelectResponse) bool {
 	cl := s.cfg.Cluster
 	if cl == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
 		return false
@@ -229,9 +207,9 @@ func (s *Server) peerAnswer(r *http.Request, t *store.Table, c coll.Collective, 
 		resp.TableVersion = pr.TableVersion
 	}
 	// An exact, non-degraded peer answer is as good as a local compute:
-	// cache it so repeats don't re-forward.
+	// promote it so repeats are table hits instead of forwards.
 	if pr.Exact && pr.Source != "nearest-degraded" && pr.Source != "model" {
-		s.coldStore(key, coldEntry{cell: cell})
+		s.promote(t, c, req.Procs, cell)
 	}
 	s.metrics.countSource("peer")
 	s.metrics.peerAnswers.Add(1)

@@ -149,8 +149,8 @@ func stubCold(tb *store.Table) SelectFunc {
 
 // TestPeerForwardAnswers walks the peer rung end to end: a cold query
 // whose cell another replica owns is forwarded there, answered with
-// source "peer" naming the owner, and cached locally so the repeat query
-// never leaves the process.
+// source "peer" naming the owner, and promoted into the local table so
+// the repeat query is a table hit and is not forwarded again.
 func TestPeerForwardAnswers(t *testing.T) {
 	tb := compileTiny(t, 1)
 	reps := newServeCluster(t, 3, false, func(i int, cfg *Config) {
@@ -179,10 +179,14 @@ func TestPeerForwardAnswers(t *testing.T) {
 		t.Fatalf("owner forwarded a forwarded request: %d forwards", got)
 	}
 
-	// Repeat on the same non-owner: served from its cold cache now.
+	// Repeat on the same non-owner: an exact hit on its own table now.
 	resp, code = postSelect(t, reps[1].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs})
-	if code != http.StatusOK || resp.Source != "cold_cache" {
-		t.Fatalf("repeat after forward: HTTP %d source %q, want cold_cache hit", code, resp.Source)
+	if code != http.StatusOK || resp.Source != "table" || !resp.Exact || resp.Algorithm.Name != "pairwise" {
+		t.Fatalf("repeat after forward: HTTP %d source %q exact %v alg %q, want exact table hit on pairwise",
+			code, resp.Source, resp.Exact, resp.Algorithm.Name)
+	}
+	if got := reps[1].cl.Stats().Forwards; got != 1 {
+		t.Fatalf("repeat after forward left the process: %d forwards, want 1", got)
 	}
 
 	// Query the OWNER: self-owned keys never forward.

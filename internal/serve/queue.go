@@ -51,6 +51,3 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 
 // depth returns the current wait-queue occupancy.
 func (a *admission) depth() int64 { return a.waiting.Load() }
-
-// inUse returns the number of busy worker slots.
-func (a *admission) inUse() int { return len(a.sem) }

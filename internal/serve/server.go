@@ -7,8 +7,9 @@
 // and /reload can hot-swap the table underneath live traffic without a
 // failed or torn response. Queries the table does not cover fall through to
 // a live selection (the full pattern x algorithm simulation grid), guarded
-// by singleflight coalescing, a bounded worker pool and a cold-result
-// cache, so a thundering herd on one cold cell costs one simulation.
+// by singleflight coalescing and a bounded worker pool, so a thundering
+// herd on one cold cell costs one simulation. The table is the only cache
+// of computed cells: every cell is promoted into it (promote.go).
 package serve
 
 import (
@@ -103,9 +104,6 @@ type Config struct {
 	// is a full simulation grid, so an unbounded pool would let a burst of
 	// distinct cold cells saturate the process.
 	ColdWorkers int
-	// ColdCacheCap bounds the cold-result cache (default 4096 entries;
-	// negative disables caching).
-	ColdCacheCap int
 	// ColdQueue bounds how many cold requests may wait for a worker slot
 	// beyond the ColdWorkers already computing; excess load is shed with
 	// 429 + Retry-After. Default 8; negative means no waiting at all (shed
@@ -116,11 +114,11 @@ type Config struct {
 	// the way into the simulation workers, which poll it cooperatively — a
 	// timed-out selection stops burning CPU. 0 disables deadlines.
 	SelectTimeout time.Duration
-	// NegativeRetries is the recompute budget of a cached cold-path
+	// NegativeRetries is the recompute budget of a remembered cold-path
 	// failure: the first NegativeRetries repeat requests for a failing cell
-	// recompute it; after that the cached failure is served without
-	// touching the worker pool. Default 2; negative disables negative
-	// caching entirely.
+	// recompute it; after that the failure is served without touching the
+	// worker pool. At most maxNegative failures are remembered. Default 2;
+	// negative disables negative caching entirely.
 	NegativeRetries int
 	// Breaker parameterizes the circuit breaker on the live-selection path;
 	// the zero value uses the defaults (5 consecutive failures trip it open
@@ -176,26 +174,12 @@ type Server struct {
 	// jitter spreads Retry-After hints so shed clients don't re-offer in
 	// lockstep.
 	jitter *retryJitter
-	// coldCache memoizes computed cold cells — and, with a retry budget,
-	// cold failures — by query key with FIFO eviction (coldOrder); a
-	// repeated cold query costs a map read.
-	coldMu    sync.Mutex
-	coldCache map[string]coldEntry
-	coldOrder []string
-	// refining dedups in-flight background refinements by query key;
-	// refineWG lets WaitBackground (tests, orderly shutdown) join them.
-	refineMu sync.Mutex
-	refining map[string]bool
+	// negative remembers cold failures by cell key (promote.go).
+	negMu    sync.Mutex
+	negative map[string]negEntry
+	// refineWG lets WaitBackground join the background refinements.
 	refineWG sync.WaitGroup
 	started  time.Time
-}
-
-// coldEntry is one cold-cache slot: a computed cell, or (errMsg non-empty)
-// a cached failure with a remaining recompute budget.
-type coldEntry struct {
-	cell    store.Cell
-	errMsg  string
-	retries int
 }
 
 // New creates a Server over a handle. The handle may be empty (no table);
@@ -209,9 +193,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ColdWorkers <= 0 {
 		cfg.ColdWorkers = 2
-	}
-	if cfg.ColdCacheCap == 0 {
-		cfg.ColdCacheCap = 4096
 	}
 	if cfg.ColdQueue == 0 {
 		cfg.ColdQueue = 8
@@ -240,11 +221,8 @@ func New(cfg Config) (*Server, error) {
 		cold:     newAdmission(cfg.ColdWorkers, int64(cfg.ColdQueue)),
 		breaker:  newBreaker(cfg.Breaker, nil),
 		jitter:   newRetryJitter(cfg.RetryJitterSeed),
-		refining: map[string]bool{},
+		negative: map[string]negEntry{},
 		started:  time.Now(),
-	}
-	if cfg.ColdCacheCap > 0 {
-		s.coldCache = map[string]coldEntry{}
 	}
 	return s, nil
 }
@@ -291,8 +269,8 @@ type SelectResponse struct {
 	Conventional store.AlgoRef `json:"conventional"`
 	Degraded     bool          `json:"degraded,omitempty"`
 	Excluded     []string      `json:"excluded,omitempty"`
-	// Source tells where the answer came from: "table", "cold_cache",
-	// "peer" (forwarded to the owning replica), "model", "computed" or
+	// Source tells where the answer came from: "table", "peer" (forwarded
+	// to the owning replica), "model", "computed" or
 	// "nearest-degraded" (circuit breaker open; the answer is
 	// the closest covered cell, with AnsweredProcs/AnsweredMsgBytes holding
 	// the compiled coordinates it was actually built for). Exact is false
@@ -392,21 +370,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.tableMisses.Add(1)
 
-	key := fmt.Sprintf("%s|%s|%d|%d", t.Version, c, req.Procs, req.MsgBytes)
+	key := cellKey(t, c, req.Procs, req.MsgBytes)
 	if !s.cfg.ColdDisabled {
-		entry, verdict := s.coldConsult(key)
-		switch verdict {
-		case coldHitPositive:
-			s.metrics.coldCacheHits.Add(1)
-			s.metrics.countSource("cold_cache")
-			fillFromCell(&resp, entry.cell, "cold_cache", true)
-			s.metrics.latency.observe(time.Since(start).Seconds())
-			s.writeJSON(w, "select", http.StatusOK, resp)
-			return
-		case coldHitNegative:
+		if errMsg, ok := s.negativeHit(key); ok {
 			s.metrics.negativeHits.Add(1)
 			s.httpError(w, "select", http.StatusInternalServerError,
-				"cold selection failed (cached, retry budget exhausted): %s", entry.errMsg)
+				"cold selection failed (cached, retry budget exhausted): %s", errMsg)
 			return
 		}
 	}
@@ -414,7 +383,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// Peer rung: a cold cell owned by another replica is forwarded there
 	// (hedged, budgeted) instead of simulated locally. Any failure falls
 	// through — the local ladder below can always answer.
-	if s.peerAnswer(r, t, c, req, &resp, key) {
+	if s.peerAnswer(r, t, c, req, &resp) {
 		s.metrics.latency.observe(time.Since(start).Seconds())
 		s.writeJSON(w, "select", http.StatusOK, resp)
 		return
@@ -444,8 +413,8 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 	// reqCtx bounds this request's wait on the cold path (queue time plus
 	// the leader's selection); the leader itself computes on a detached work
-	// context below, so a cancelled requester never aborts work that other
-	// coalesced waiters — or the cache — will still use.
+	// context (compute), so a cancelled requester never aborts work that
+	// other coalesced waiters — or the table — will still use.
 	reqCtx := r.Context()
 	if s.cfg.SelectTimeout > 0 {
 		var cancel context.CancelFunc
@@ -454,40 +423,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cell, err, coalesced := s.flights.do(reqCtx, key, func() (store.Cell, error) {
-		//collsel:ctx intentional detachment: the coalesced leader's work must survive any single requester's cancellation; its own deadline is applied below
-		workCtx := context.Background()
-		if s.cfg.SelectTimeout > 0 {
-			var cancel context.CancelFunc
-			workCtx, cancel = context.WithTimeout(workCtx, s.cfg.SelectTimeout)
-			defer cancel()
-		}
-		release, err := s.cold.acquire(workCtx)
-		if err != nil {
-			return store.Cell{}, err
-		}
-		defer release()
-		// The breaker check sits after admission so an admitted probe is
-		// guaranteed to run and be recorded — a probe refused by a full
-		// queue would otherwise wedge the breaker in half-open.
-		if !s.breaker.allow() {
-			return store.Cell{}, errBreakerOpen
-		}
-		s.metrics.inflightCold.Add(1)
-		defer s.metrics.inflightCold.Add(-1)
-		s.metrics.coldComputes.Add(1)
-		s.logf("cold select: %s %d procs %d B (table %s)", c, req.Procs, req.MsgBytes, t.Version)
-		began := time.Now()
-		cell, err := s.cfg.Cold(workCtx, t, c, req.Procs, req.MsgBytes)
-		s.breaker.record(time.Since(began), err)
-		if err == nil {
-			s.coldStore(key, coldEntry{cell: cell})
-			s.shareCold(t, c, req.Procs, cell)
-		} else if !isTransient(err) {
-			// Cache the failure with a recompute budget: a cell that is
-			// structurally unservable (model drift, oversized procs) should
-			// not re-occupy a worker on every repeat request.
-			s.coldStore(key, coldEntry{errMsg: err.Error(), retries: s.cfg.NegativeRetries})
-		}
+		cell, _, err := s.compute(t, c, req.Procs, req.MsgBytes, key)
 		return cell, err
 	})
 	if coalesced {
@@ -573,65 +509,6 @@ func fillFromCell(resp *SelectResponse, cell store.Cell, source string, exact bo
 	resp.Excluded = cell.Excluded
 	resp.Source = source
 	resp.Exact = exact
-}
-
-// coldVerdict classifies a cold-cache consult.
-type coldVerdict int
-
-const (
-	coldMiss        coldVerdict = iota // not cached (or a retry was granted)
-	coldHitPositive                    // cached computed cell
-	coldHitNegative                    // cached failure, retry budget spent
-)
-
-// coldConsult looks up key. A cached failure with retries left burns one
-// retry and reports a miss, letting the caller recompute; once the budget is
-// spent the cached failure is served without touching the worker pool.
-func (s *Server) coldConsult(key string) (coldEntry, coldVerdict) {
-	if s.coldCache == nil {
-		return coldEntry{}, coldMiss
-	}
-	s.coldMu.Lock()
-	defer s.coldMu.Unlock()
-	e, ok := s.coldCache[key]
-	if !ok {
-		return coldEntry{}, coldMiss
-	}
-	if e.errMsg == "" {
-		return e, coldHitPositive
-	}
-	if e.retries > 0 {
-		e.retries--
-		s.coldCache[key] = e
-		return e, coldMiss
-	}
-	return e, coldHitNegative
-}
-
-func (s *Server) coldStore(key string, e coldEntry) {
-	if s.coldCache == nil {
-		return
-	}
-	if e.errMsg != "" && s.cfg.NegativeRetries < 0 {
-		return // negative caching disabled
-	}
-	s.coldMu.Lock()
-	defer s.coldMu.Unlock()
-	if old, ok := s.coldCache[key]; ok {
-		// A computed cell replaces a cached failure (a retry succeeded);
-		// nothing ever replaces a computed cell.
-		if old.errMsg != "" && e.errMsg == "" {
-			s.coldCache[key] = e
-		}
-		return
-	}
-	for len(s.coldCache) >= s.cfg.ColdCacheCap && len(s.coldOrder) > 0 {
-		oldest := s.coldOrder[0]
-		s.coldOrder = s.coldOrder[1:]
-		delete(s.coldCache, oldest)
-	}
-	s.coldCache[key] = e
-	s.coldOrder = append(s.coldOrder, key)
 }
 
 // HealthResponse is the /healthz answer. Status walks the health state

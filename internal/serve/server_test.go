@@ -137,10 +137,10 @@ func TestSelectGoldenAgainstSelectCtx(t *testing.T) {
 			cold.Algorithm, cold.Score, wantCold.Recommended.Name, wantCold.Ranking[0].Score)
 	}
 
-	// The cold result is now cached.
+	// The cold result was promoted into the table.
 	cached, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 128, Procs: 8})
-	if code != http.StatusOK || cached.Source != "cold_cache" || cached.Algorithm != cold.Algorithm {
-		t.Fatalf("cold repeat: code=%d source=%s", code, cached.Source)
+	if code != http.StatusOK || cached.Source != "table" || !cached.Exact || cached.Algorithm != cold.Algorithm {
+		t.Fatalf("cold repeat: code=%d source=%s exact=%v", code, cached.Source, cached.Exact)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // the copy keeps t's CreatedUnix and provenance, so the result is the
 // table the compiler would have produced had its grid included this point.
 //
-// It is the promotion primitive of the model tier's answer ladder: a
-// background simulation refines a cell the model answered for, and the
-// serving layer installs the refined table with Handle.CompareAndSwap —
-// losing the swap race to a concurrent /reload just drops the promotion.
+// It is the promotion primitive of the serving layer: every cell collseld
+// computes, refines or receives from a peer is installed by applying
+// WithCell to the current table inside Handle.Update, provided that
+// table still has the cell's provenance (ProvenanceKey).
 func WithCell(t *Table, c coll.Collective, procs int, cell Cell) (*Table, error) {
 	if t == nil {
 		return nil, fmt.Errorf("store: nil base table")
@@ -25,14 +25,7 @@ func WithCell(t *Table, c coll.Collective, procs int, cell Cell) (*Table, error)
 	if cell.MsgBytes <= 0 || procs <= 0 {
 		return nil, fmt.Errorf("store: cell coordinates must be positive (procs %d, msg_bytes %d)", procs, cell.MsgBytes)
 	}
-	// Deep-copy the section/cell storage (same discipline as RecompileCells).
-	nt := *t
-	nt.Sections = make([]Section, len(t.Sections))
-	for i, s := range t.Sections {
-		nt.Sections[i] = s
-		nt.Sections[i].Cells = append([]Cell(nil), s.Cells...)
-	}
-
+	nt := t.clone()
 	name := c.String()
 	s := nt.section(name, procs)
 	if s == nil {
@@ -47,9 +40,21 @@ func WithCell(t *Table, c coll.Collective, procs int, cell Cell) (*Table, error)
 			s.Cells[i] = cell
 		}
 	}
-	nt.CreatedUnix = t.CreatedUnix
 	if err := nt.Finalize(); err != nil {
 		return nil, err
 	}
-	return &nt, nil
+	return nt, nil
+}
+
+// ProvenanceKey identifies the selection provenance of t: the machine
+// model and every table field SpecOf carries into a live selection, so
+// tables with equal keys compute bit-identical cells. The content Version
+// is left out: installing a cell re-versions a table without changing
+// what any other cell computes.
+func ProvenanceKey(t *Table) string {
+	if t == nil {
+		return "" // equal to no real table's key
+	}
+	return fmt.Sprintf("%s|%s|%d|%g|%d|%d|%d|%d|%+v", t.Machine, t.PlatformFingerprint,
+		t.Seed, t.Factor, t.Reps, t.Warmup, t.WatchdogNs, t.PruneTopK, t.Faults)
 }

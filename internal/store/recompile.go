@@ -81,14 +81,8 @@ func RecompileCells(ctx context.Context, base *Table, patches []CellPatch, cfg R
 			base.Machine, fp, base.PlatformFingerprint)
 	}
 
-	// Deep-copy the section/cell storage: the base table is shared with
-	// concurrent readers and must stay untouched.
-	t := *base
-	t.Sections = make([]Section, len(base.Sections))
-	for i, s := range base.Sections {
-		t.Sections[i] = s
-		t.Sections[i].Cells = append([]Cell(nil), s.Cells...)
-	}
+	// The base table is shared with concurrent readers and stays untouched.
+	t := base.clone()
 
 	// Deterministic work order regardless of how the planner produced the
 	// patch list.
@@ -115,7 +109,7 @@ func RecompileCells(ctx context.Context, base *Table, patches []CellPatch, cfg R
 			return nil, fmt.Errorf("store: patch %v/%d procs/%d B names no compiled cell",
 				p.Collective, p.Procs, p.MsgBytes)
 		}
-		spec := SpecOf(&t, pl, p.Collective, p.Procs, p.MsgBytes)
+		spec := SpecOf(t, pl, p.Collective, p.Procs, p.MsgBytes)
 		spec.Factor = p.Factor
 		spec.Seed = seed
 		spec.Runner = cfg.Runner
@@ -129,11 +123,10 @@ func RecompileCells(ctx context.Context, base *Table, patches []CellPatch, cfg R
 	}
 
 	t.ProfileDigest = cfg.ProfileDigest
-	t.CreatedUnix = base.CreatedUnix
 	if err := t.Finalize(); err != nil {
 		return nil, err
 	}
-	return &t, nil
+	return t, nil
 }
 
 // cellAt returns the addressable cell with exactly the compiled size

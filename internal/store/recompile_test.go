@@ -2,9 +2,11 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"collsel/internal/coll"
@@ -116,22 +118,54 @@ func TestRecompileCellsRejectsBadPatches(t *testing.T) {
 	}
 }
 
-func TestHandleCompareAndSwap(t *testing.T) {
-	a, b, c := &Table{Version: "a"}, &Table{Version: "b"}, &Table{Version: "c"}
-	h := NewHandle(a)
-	if !h.CompareAndSwap(a, b) {
-		t.Fatal("CAS from the held table failed")
+// TestHandleUpdateNoLostUpdate runs concurrent promotions of distinct
+// cells through Update: writers are serialized, each derives its table
+// from the current one, so every cell lands and every write is one
+// install. A writer that returns nil or an error installs nothing.
+func TestHandleUpdateNoLostUpdate(t *testing.T) {
+	base := tinyTable(t)
+	h := NewHandle(base)
+	const writers = 16
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cell := Cell{MsgBytes: 10_000 + i, Winner: AlgoRef{ID: 2, Name: "pairwise"}, Score: 1}
+			if _, err := h.Update(func(cur *Table) (*Table, error) {
+				return WithCell(cur, coll.Alltoall, 8, cell)
+			}); err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	if h.Table() != b {
-		t.Fatal("CAS did not install the replacement")
+	for i := 0; i < 64; i++ {
+		if _, ok := h.Table().Get(coll.Alltoall, 8, 64); !ok {
+			t.Fatal("reader saw a table without the compiled cell")
+		}
 	}
-	if h.CompareAndSwap(a, c) {
-		t.Fatal("stale CAS succeeded")
+	wg.Wait()
+	final := h.Table()
+	for i := 0; i < writers; i++ {
+		if lk, ok := final.Get(coll.Alltoall, 8, 10_000+i); !ok || !lk.Exact {
+			t.Fatalf("update %d lost", i)
+		}
 	}
-	if h.Table() != b {
-		t.Fatal("stale CAS clobbered the held table")
+	if final.Cells() != base.Cells()+writers {
+		t.Fatalf("%d cells, want %d", final.Cells(), base.Cells()+writers)
 	}
-	if got := h.Swaps(); got != 2 {
-		t.Fatalf("swaps = %d, want 2 (initial install + one CAS)", got)
+	if got := h.Swaps(); got != 1+writers {
+		t.Fatalf("swaps = %d, want %d (initial install + one per update)", got, 1+writers)
+	}
+
+	if nt, err := h.Update(func(*Table) (*Table, error) { return nil, nil }); nt != nil || err != nil {
+		t.Fatalf("nil update: %v, %v", nt, err)
+	}
+	boom := errors.New("refused")
+	if nt, err := h.Update(func(cur *Table) (*Table, error) { return base, boom }); nt != nil || err != boom {
+		t.Fatalf("failed update: %v, %v", nt, err)
+	}
+	if h.Table() != final || h.Swaps() != 1+writers {
+		t.Fatal("an update that returned nil or an error installed a table")
 	}
 }

@@ -147,6 +147,18 @@ func (t *Table) Cells() int {
 	return n
 }
 
+// clone deep-copies t's section and cell storage, so the copy can be
+// edited while readers keep using t.
+func (t *Table) clone() *Table {
+	nt := *t
+	nt.Sections = make([]Section, len(t.Sections))
+	for i, s := range t.Sections {
+		nt.Sections[i] = s
+		nt.Sections[i].Cells = append([]Cell(nil), s.Cells...)
+	}
+	return &nt
+}
+
 // normalize sorts sections and cells into canonical lookup order.
 func (t *Table) normalize() {
 	sort.Slice(t.Sections, func(i, j int) bool {
@@ -266,6 +278,7 @@ func BackupPath(path string) string { return path + ".bak" }
 // BackupPath(path) — the last-known-good a corrupted write or a bad
 // promotion can be recovered from.
 func (t *Table) Save(path string) error {
+	t = t.clone() // finalize a copy: t may be serving, with readers on it
 	if err := t.Finalize(); err != nil {
 		return err
 	}

@@ -114,6 +114,49 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveOfServedTableIsReadOnly saves a finalized table while readers
+// look it up, as an operator tool or test does with a table that is being
+// served. Run under -race: Save must not write to the table.
+func TestSaveOfServedTableIsReadOnly(t *testing.T) {
+	tb := tinyTable(t)
+	version := tb.Version
+	dir := t.TempDir()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if lk, ok := tb.Get(coll.Alltoall, 8, 1024); !ok || lk.Cell.Winner.Name != "pairwise" || tb.Version != version {
+					t.Error("reader saw a changed table")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if err := tb.Save(filepath.Join(dir, fmt.Sprintf("t%d.json", i%2))); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	got, err := Load(filepath.Join(dir, "t0.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != version {
+		t.Fatalf("saved version %s, want %s", got.Version, version)
+	}
+}
+
 func TestLoadRejectsCorruption(t *testing.T) {
 	tb := tinyTable(t)
 	path := filepath.Join(t.TempDir(), "table.json")

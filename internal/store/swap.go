@@ -1,17 +1,22 @@
 package store
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Handle is an atomic hot-swap slot for decision tables. Readers call
-// Table() on every request and work with the returned snapshot; Swap
-// installs a replacement with a single pointer store, so lookups never
-// block on a reload and every request is answered from exactly one table —
-// old or new, never a mix.
+// Handle is the serving table slot and its one writer. Readers call
+// Table() on every request and work with the returned snapshot: a single
+// atomic load, so lookups never block on a writer and every request is
+// answered from exactly one table — old or new, never a mix. Every change
+// goes through Update (promotions, feedback recompiles) or Swap (reloads);
+// writers run one at a time, so each derives its table from the current
+// one and no write is lost.
 type Handle struct {
 	p atomic.Pointer[Table]
+	// mu serializes writers; readers never take it.
+	mu sync.Mutex
 	// swaps counts installs (including the initial one); loadedUnix is the
 	// wall time of the latest install, for table-age metrics.
 	swaps      atomic.Int64
@@ -31,39 +36,36 @@ func NewHandle(t *Table) *Handle {
 // result is immutable and remains valid after any number of swaps.
 func (h *Handle) Table() *Table { return h.p.Load() }
 
-// Swap atomically installs t and returns the previous table (nil on first
-// install). In-flight requests holding the old snapshot finish on it.
-func (h *Handle) Swap(t *Table) *Table {
-	old := h.p.Swap(t)
-	h.swaps.Add(1)
-	//collsel:wallclock install time feeds the table-age gauge, operational metadata outside any artifact or simulation result
-	h.loadedUnix.Store(time.Now().Unix())
+// Swap installs t unconditionally and returns the previous table (nil on
+// first install). In-flight requests holding the old snapshot finish on it.
+func (h *Handle) Swap(t *Table) (old *Table) {
+	h.Update(func(cur *Table) (*Table, error) {
+		old = cur
+		return t, nil
+	})
 	return old
 }
 
-// CompareAndSwap installs repl only if the handle still holds old, and
-// reports whether it did. It is the last-writer-wins primitive of the
-// feedback loop's promotion path: a background recompiler that derived
-// repl from snapshot old must not clobber a table an operator /reload
-// installed in the meantime — if the handle moved on, the stale artifact
-// is simply dropped. The same primitive guards rollback: undoing a swap
-// only succeeds while the swapped-in table is still the one being served.
-func (h *Handle) CompareAndSwap(old, repl *Table) bool {
-	if !h.p.CompareAndSwap(old, repl) {
-		return false
+// Update runs fn on the current table (nil when none is loaded) with every
+// other writer excluded and installs the table fn returns, if any; it
+// returns that table and fn's error. On an error nothing is installed. fn
+// must not mutate cur (readers hold it) nor call the handle's writers.
+func (h *Handle) Update(fn func(cur *Table) (*Table, error)) (*Table, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	nt, err := fn(h.p.Load())
+	if err != nil || nt == nil {
+		return nil, err
 	}
+	h.p.Store(nt)
 	h.swaps.Add(1)
 	//collsel:wallclock install time feeds the table-age gauge, operational metadata outside any artifact or simulation result
 	h.loadedUnix.Store(time.Now().Unix())
-	return true
+	return nt, nil
 }
 
 // Swaps returns the number of installs so far.
 func (h *Handle) Swaps() int64 { return h.swaps.Load() }
-
-// LoadedUnix returns the wall time (Unix seconds) of the latest install,
-// 0 when nothing was ever installed.
-func (h *Handle) LoadedUnix() int64 { return h.loadedUnix.Load() }
 
 // AgeSeconds returns the seconds since the latest install (0 when empty).
 func (h *Handle) AgeSeconds() float64 {

@@ -87,8 +87,8 @@ done
 test "$(alive_peers "$u1")" = 2
 
 # Kill replica 3 and hammer the survivors with mixed load. Distinct
-# procs make every uncovered query a fresh cell (no cold-cache
-# absorption), so roughly a third route to the dead owner and must
+# procs make every uncovered query a fresh cell that no earlier
+# promotion covers, so roughly a third route to the dead owner and must
 # either hedge to the other survivor or fall back to local simulation —
 # never error.
 wins=0

@@ -3,25 +3,29 @@
 // arrival patterns on the chosen machine model and recommends the most
 // robust algorithm — the one with the smallest average normalized runtime
 // across patterns — rather than the winner of the synchronized (no-delay)
-// benchmark alone.
+// benchmark alone. With -save it installs the selection's cell into a
+// decision-table artifact (internal/store) that collseld can serve.
 //
 // Usage:
 //
 //	selector -coll alltoall -machine Galileo100 -size 32768 -procs 256
 //	selector -coll reduce -machine Hydra -size 8 -skew 500000
+//	selector -coll alltoall -machine SimCluster -procs 8 -size 4096 -reps 0 -save table.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"slices"
 
 	"collsel/internal/cliutil"
 	"collsel/internal/coll"
 	"collsel/internal/expt"
-	"collsel/internal/pattern"
+	"collsel/internal/store"
 	"collsel/internal/table"
-	"collsel/internal/tuning"
 )
 
 func main() {
@@ -34,7 +38,7 @@ func main() {
 	reps := flag.Int("reps", 5, "benchmark repetitions per cell")
 	seed := flag.Int64("seed", 1, "seed")
 	root := flag.Int("root", 0, "root rank for rooted collectives")
-	save := flag.String("save", "", "append the selection to this tuning-table JSON file")
+	save := flag.String("save", "", "install the selection's cell into this decision-table artifact (created if absent; must share the selection's provenance) for collseld to serve")
 	workers := flag.Int("workers", 0, "concurrent cell simulations (0 = GOMAXPROCS); results are identical at any value")
 	progress := flag.Bool("progress", false, "print per-cell progress to stderr")
 	flag.Parse()
@@ -53,44 +57,36 @@ func main() {
 	if err := cliutil.CheckProcs(*procs, pl); err != nil {
 		cliutil.Usage("selector", err)
 	}
-	algs := coll.TableII(c)
-	if len(algs) == 0 {
-		algs = coll.Algorithms(c)
+	spec := expt.SelectSpec{
+		Platform:   pl,
+		Collective: c,
+		MsgBytes:   *size,
+		Procs:      *procs,
+		Root:       *root,
+		MaxSkewNs:  *skew,
+		Factor:     *factor,
+		Reps:       *reps,
+		Seed:       *seed,
+		Runner:     cliutil.Engine(*workers),
+		Progress:   cliutil.ProgressPrinter(os.Stderr, "selector", *progress),
 	}
-	policy := expt.SkewAvgRuntime
-	if *skew > 0 {
-		policy = expt.SkewFixed
+	if *save != "" {
+		if err := savable(spec); err != nil {
+			cliutil.Usage("selector", err)
+		}
 	}
-	m, _, err := expt.BuildMatrixCtx(ctx, expt.GridConfig{
-		Platform:    pl,
-		Procs:       *procs,
-		Seed:        *seed,
-		Algorithms:  algs,
-		Shapes:      pattern.ArtificialShapes(),
-		MsgBytes:    *size,
-		Root:        *root,
-		Policy:      policy,
-		Factor:      *factor,
-		FixedSkewNs: *skew,
-		Reps:        *reps,
-		Runner:      cliutil.Engine(*workers),
-		Progress:    cliutil.ProgressPrinter(os.Stderr, "selector", *progress),
-	})
+	out, err := expt.SelectRobustCtx(ctx, spec)
 	if err != nil {
 		cliutil.Fatal("selector", err)
 	}
-	choices, err := m.SelectRobust()
-	if err != nil {
-		cliutil.Fatal("selector", err)
-	}
-	noDelay, _ := m.NoDelayChoice()
+	m, choices, noDelay := out.Matrix, out.Ranking, out.Conventional
 
 	fmt.Printf("Algorithm selection for %v, %s on %s, %d procs\n\n",
 		c, table.Bytes(*size), pl.Name, *procs)
 	tb := table.New("rank", "algorithm", "robustness score", "no-delay d-hat")
 	nd := m.PatternIndex("no_delay")
 	for i, ch := range choices {
-		j := algIndex(m.Algorithms, ch.Algorithm.Name)
+		j := slices.IndexFunc(m.Algorithms, func(al coll.Algorithm) bool { return al.Name == ch.Algorithm.Name })
 		tb.AddRow(
 			fmt.Sprintf("%d", i+1),
 			fmt.Sprintf("%d:%s (%s)", ch.Algorithm.ID, ch.Algorithm.Name, ch.Algorithm.Abbrev),
@@ -111,38 +107,74 @@ func main() {
 	}
 
 	if *save != "" {
-		tb, err := tuning.Load(*save)
+		t, err := saveCell(*save, spec, out)
 		if err != nil {
-			if !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "selector: %v\n", err)
-				os.Exit(1)
-			}
-			tb = &tuning.Table{Machine: pl.Name, Procs: *procs}
+			cliutil.Fatal("selector", err)
 		}
-		rule := tuning.Rule{
-			Collective: c.String(),
-			MinBytes:   *size,
-			MaxBytes:   *size,
-			Algorithm:  choices[0].Algorithm.Name,
-			Score:      choices[0].Score,
-		}
-		if err := tb.Add(rule); err != nil {
-			fmt.Fprintf(os.Stderr, "selector: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tb.Save(*save); err != nil {
-			fmt.Fprintf(os.Stderr, "selector: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nsaved rule to %s\n", *save)
+		fmt.Printf("\nsaved cell to %s (table %s, %d cells)\n", *save, t.Version, t.Cells())
 	}
 }
 
-func algIndex(algs []coll.Algorithm, name string) int {
-	for i, al := range algs {
-		if al.Name == name {
-			return i
+// savable refuses a selection an artifact cannot record: a table carries
+// no fixed skew and no root, so collseld could not reproduce the cell.
+func savable(spec expt.SelectSpec) error {
+	if spec.MaxSkewNs != 0 || spec.Root != 0 {
+		return errors.New("-save cannot record -skew or -root; drop them to save the cell")
+	}
+	return nil
+}
+
+// saveCell installs the selection's cell into the decision-table artifact
+// at path and writes it with store.Table.Save, so collseld can serve it. A
+// missing artifact is started with the selection's provenance; an existing
+// one must share it. A refused save leaves the file untouched.
+func saveCell(path string, spec expt.SelectSpec, out *expt.SelectOutcome) (*store.Table, error) {
+	if err := savable(spec); err != nil {
+		return nil, err
+	}
+	want := &store.Table{
+		Machine:             spec.Platform.Name,
+		PlatformFingerprint: spec.Platform.Fingerprint(),
+		Seed:                spec.Seed,
+		Factor:              spec.Factor,
+		Reps:                spec.Reps,
+	}
+	base, err := store.Load(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		base = want
+	case err != nil:
+		return nil, err
+	default:
+		if err := sameProvenance(base, want); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	return 0
+	t, err := store.WithCell(base, spec.Collective, spec.Procs, store.CellFromOutcome(spec.MsgBytes, out))
+	if err != nil {
+		return nil, err
+	}
+	return t, t.Save(path)
+}
+
+// sameProvenance names the first provenance field in which the artifact
+// differs from the selection, and the flag that matches it.
+func sameProvenance(have, want *store.Table) error {
+	if store.ProvenanceKey(have) == store.ProvenanceKey(want) {
+		return nil
+	}
+	for _, f := range []struct {
+		flag       string
+		have, want any
+	}{
+		{"machine", have.Machine, want.Machine},
+		{"seed", have.Seed, want.Seed},
+		{"factor", have.Factor, want.Factor},
+		{"reps", have.Reps, want.Reps},
+	} {
+		if f.have != f.want {
+			return fmt.Errorf("artifact %s is %v, the selection's %v; pass -%s %v", f.flag, f.have, f.want, f.flag, f.have)
+		}
+	}
+	return errors.New("artifact platform fingerprint, warmup, faults, watchdog or pruning differ from the selection's; recompile it with compilestore")
 }

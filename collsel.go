@@ -44,7 +44,6 @@ import (
 	"collsel/internal/runner"
 	"collsel/internal/sim"
 	"collsel/internal/trace"
-	"collsel/internal/tuning"
 )
 
 // --- Platforms ---------------------------------------------------------------
@@ -287,7 +286,7 @@ type AsyncOp = mpi.AsyncOp
 // (MPI_Icollective semantics).
 var IstartCollective = coll.Istart
 
-// --- Baselines, strategies, tuning tables ----------------------------------------------
+// --- Baselines and strategies ----------------------------------------------------------
 
 // LibraryDefault returns the algorithm an Open MPI-style fixed decision
 // logic would pick for (collective, comm size, message size) — the
@@ -316,16 +315,6 @@ var (
 	CompareStrategiesCtx = expt.CompareStrategiesCtx
 	CompareStrategiesOn  = expt.CompareStrategiesOn
 )
-
-// TuningTable persists selections as a dynamic-rules-style file; see
-// internal/tuning for the format.
-type (
-	TuningTable = tuning.Table
-	TuningRule  = tuning.Rule
-)
-
-// LoadTuningTable reads and validates a tuning table file.
-var LoadTuningTable = tuning.Load
 
 // Gantt renders a traced collective call as an ASCII timeline (the
 // paper's Fig. 2 visualization).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"collsel"
+	"collsel/internal/store"
 )
 
 func TestMachinePresets(t *testing.T) {
@@ -128,11 +129,13 @@ func TestFTClassGeometryExposed(t *testing.T) {
 	}
 }
 
-func TestSelectionToTuningTableFlow(t *testing.T) {
-	// End-to-end: run a selection, persist it as a tuning rule, reload the
-	// table and resolve the algorithm for a size inside the rule's range.
+func TestSelectionToStoreFlow(t *testing.T) {
+	// End-to-end: run a selection, install its cell into a decision-table
+	// artifact, reload the artifact and resolve the algorithm for the
+	// selected size and for a size inside the cell's bin.
+	pl := collsel.SimCluster()
 	sel, err := collsel.Select(collsel.SelectConfig{
-		Machine:    collsel.SimCluster(),
+		Machine:    pl,
 		Collective: collsel.Alltoall,
 		MsgBytes:   1024,
 		Procs:      16,
@@ -140,14 +143,9 @@ func TestSelectionToTuningTableFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := &collsel.TuningTable{Machine: "SimCluster", Procs: 16}
-	err = tb.Add(collsel.TuningRule{
-		Collective: "alltoall",
-		MinBytes:   512,
-		MaxBytes:   2048,
-		Algorithm:  sel.Recommended.Name,
-		Score:      sel.Ranking[0].Score,
-	})
+	base := &store.Table{Machine: pl.Name, PlatformFingerprint: pl.Fingerprint()}
+	tb, err := store.WithCell(base, collsel.Alltoall, 16,
+		store.RankedCell(1024, sel.Ranking, sel.ConventionalChoice))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +153,20 @@ func TestSelectionToTuningTableFlow(t *testing.T) {
 	if err := tb.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := collsel.LoadTuningTable(path)
+	loaded, err := store.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	al, ok := loaded.Lookup(collsel.Alltoall, 1024)
-	if !ok || al.Name != sel.Recommended.Name {
-		t.Fatalf("lookup gave %v/%v, want %s", al.Name, ok, sel.Recommended.Name)
+	if loaded.Version != tb.Version {
+		t.Fatalf("reloaded version %s, saved %s", loaded.Version, tb.Version)
 	}
-	if _, ok := loaded.Lookup(collsel.Alltoall, 1<<20); ok {
-		t.Fatal("out-of-range size resolved")
+	for _, size := range []int{1024, 2048} {
+		got, ok := loaded.Get(collsel.Alltoall, 16, size)
+		if !ok || got.Cell.Winner.Name != sel.Recommended.Name || got.Exact != (size == 1024) {
+			t.Fatalf("lookup at %d B gave %+v/%v, want %s", size, got, ok, sel.Recommended.Name)
+		}
+	}
+	if _, ok := loaded.Get(collsel.Alltoall, 16, 1<<20); ok {
+		t.Fatal("size beyond the cell's decade resolved")
 	}
 }

@@ -62,7 +62,6 @@ var DefaultScope = []string{
 	// desynchronize pruned artifacts from their provenance.
 	"internal/model",
 	"internal/table",
-	"internal/tuning",
 	"internal/stats",
 	"internal/papaware",
 	// The feedback loop recompiles artifacts from observations: its

@@ -27,8 +27,8 @@ import (
 // machine is not a resolvable preset, has drifted from the compiled
 // fingerprint, or cannot hold the requested communicator.
 func (s *Server) modelAnswer(t *store.Table, c coll.Collective, procs, msgBytes int) (store.Cell, bool) {
-	pl, fp, ok := presetFor(t.Machine)
-	if !ok || fp != t.PlatformFingerprint || procs > pl.Size() {
+	pl, err := t.Platform()
+	if err != nil || procs > pl.Size() {
 		return store.Cell{}, false
 	}
 	out, err := model.Select(model.Spec{
@@ -42,19 +42,7 @@ func (s *Server) modelAnswer(t *store.Table, c coll.Collective, procs, msgBytes 
 	if err != nil || len(out.Ranking) == 0 {
 		return store.Cell{}, false
 	}
-	cell := store.Cell{
-		MsgBytes:     msgBytes,
-		Winner:       store.Ref(out.Ranking[0].Algorithm),
-		Score:        out.Ranking[0].Score,
-		Conventional: store.Ref(out.Conventional),
-	}
-	if len(out.Ranking) > 1 {
-		cell.RunnerUp = store.Ref(out.Ranking[1].Algorithm)
-		if out.Ranking[0].Score > 0 {
-			cell.Margin = out.Ranking[1].Score/out.Ranking[0].Score - 1
-		}
-	}
-	return cell, true
+	return store.RankedCell(msgBytes, out.Ranking, out.Conventional), true
 }
 
 // refineAsync starts the background simulation that upgrades a model

@@ -27,7 +27,6 @@ import (
 	"collsel/internal/coll"
 	"collsel/internal/expt"
 	"collsel/internal/feedback"
-	"collsel/internal/netmodel"
 	"collsel/internal/store"
 )
 
@@ -41,13 +40,9 @@ type SelectFunc func(ctx context.Context, t *store.Table, c coll.Collective, pro
 // wrong for the artifact's provenance), and otherwise runs the same
 // selection the compiler ran — bit-identical to a compiled cell.
 func Fallback(ctx context.Context, t *store.Table, c coll.Collective, procs, msgBytes int) (store.Cell, error) {
-	pl, fp, ok := presetFor(t.Machine)
-	if !ok {
-		return store.Cell{}, fmt.Errorf("serve: table machine %q is not a known preset", t.Machine)
-	}
-	if fp != t.PlatformFingerprint {
-		return store.Cell{}, fmt.Errorf("serve: machine %s drifted from the table's model (%s vs %s); recompile the artifact",
-			t.Machine, fp, t.PlatformFingerprint)
+	pl, err := t.Platform()
+	if err != nil {
+		return store.Cell{}, err
 	}
 	if procs > pl.Size() {
 		return store.Cell{}, fmt.Errorf("serve: %d procs exceed machine %s (%d)", procs, t.Machine, pl.Size())
@@ -57,37 +52,6 @@ func Fallback(ctx context.Context, t *store.Table, c coll.Collective, procs, msg
 		return store.Cell{}, err
 	}
 	return store.CellFromOutcome(msgBytes, out), nil
-}
-
-// presets caches preset resolution and fingerprinting per machine name.
-// ByName returns a fresh *Platform per call; resolving each cold request
-// through a fresh pointer would re-fingerprint the model every time and
-// defeat the pointer-keyed memoizations downstream (cell keys, noise speed
-// vectors), which is most of the cold path's constant overhead. The cold
-// path never mutates the platform (the same immutability contract the cell
-// cache relies on), and the preset namespace is fixed at compile time, so
-// the map is naturally bounded.
-var presets sync.Map // machine name -> *presetEntry
-
-type presetEntry struct {
-	pl *netmodel.Platform
-	fp string
-}
-
-func presetFor(machine string) (*netmodel.Platform, string, bool) {
-	if v, ok := presets.Load(machine); ok {
-		e := v.(*presetEntry)
-		return e.pl, e.fp, true
-	}
-	pl := netmodel.ByName(machine)
-	if pl == nil {
-		return nil, "", false
-	}
-	e := &presetEntry{pl: pl, fp: pl.Fingerprint()}
-	if v, dup := presets.LoadOrStore(machine, e); dup {
-		e = v.(*presetEntry)
-	}
-	return e.pl, e.fp, true
 }
 
 // Config parameterizes a Server.

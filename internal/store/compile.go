@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"collsel/internal/coll"
+	"collsel/internal/core"
 	"collsel/internal/expt"
 	"collsel/internal/fault"
 	"collsel/internal/netmodel"
@@ -85,24 +87,34 @@ func (cfg *CompileConfig) fill() error {
 	return nil
 }
 
+// RankedCell builds the cell of one ranking: the winner, the runner-up
+// and the margin between them, plus the conventional (no-delay) choice.
+// Every producer of cells — compiled or live selections and the
+// analytical model tier — goes through it, so their answers are
+// structurally identical.
+func RankedCell(msgBytes int, ranking []core.Choice, conventional coll.Algorithm) Cell {
+	c := Cell{
+		MsgBytes:     msgBytes,
+		Winner:       Ref(ranking[0].Algorithm),
+		Score:        ranking[0].Score,
+		Conventional: Ref(conventional),
+	}
+	if len(ranking) > 1 {
+		c.RunnerUp = Ref(ranking[1].Algorithm)
+		if ranking[0].Score > 0 {
+			c.Margin = ranking[1].Score/ranking[0].Score - 1
+		}
+	}
+	return c
+}
+
 // CellFromOutcome freezes one selection outcome into a table cell. The
 // serving layer uses the same constructor for cold (live-computed) cells,
 // so a served fallback answer is structurally identical to what an artifact
 // compiled for that grid point would contain.
 func CellFromOutcome(msgBytes int, out *expt.SelectOutcome) Cell {
-	c := Cell{
-		MsgBytes:     msgBytes,
-		Winner:       Ref(out.Ranking[0].Algorithm),
-		Score:        out.Ranking[0].Score,
-		Conventional: Ref(out.Conventional),
-		Degraded:     out.Degraded,
-	}
-	if len(out.Ranking) > 1 {
-		c.RunnerUp = Ref(out.Ranking[1].Algorithm)
-		if out.Ranking[0].Score > 0 {
-			c.Margin = out.Ranking[1].Score/out.Ranking[0].Score - 1
-		}
-	}
+	c := RankedCell(msgBytes, out.Ranking, out.Conventional)
+	c.Degraded = out.Degraded
 	for _, al := range out.Excluded {
 		c.Excluded = append(c.Excluded, al.Name)
 	}
@@ -145,6 +157,41 @@ func SpecOf(t *Table, pl *netmodel.Platform, c coll.Collective, procs, msgBytes 
 		WatchdogNs: t.WatchdogNs,
 		PruneTopK:  t.PruneTopK,
 	}
+}
+
+// presets memoizes preset resolution and fingerprinting per machine name.
+// netmodel.ByName returns a fresh *Platform per call; resolving every live
+// selection through a fresh pointer would re-fingerprint the model each
+// time and defeat the pointer-keyed memoizations downstream (cell keys,
+// noise speed vectors), which is most of a cold selection's constant
+// overhead. Selections never mutate the platform, and the preset namespace
+// is fixed at compile time, so the map is naturally bounded.
+var presets sync.Map // machine name -> *preset
+
+type preset struct {
+	pl *netmodel.Platform
+	fp string
+}
+
+// Platform resolves t's machine model from the preset registry and refuses
+// a model that has drifted from the table's platform fingerprint: cells
+// selected on it would be silently wrong for the artifact's provenance.
+// The platform is shared by every caller and must not be mutated.
+func (t *Table) Platform() (*netmodel.Platform, error) {
+	v, ok := presets.Load(t.Machine)
+	if !ok {
+		pl := netmodel.ByName(t.Machine)
+		if pl == nil {
+			return nil, fmt.Errorf("store: table machine %q is not a known preset", t.Machine)
+		}
+		v, _ = presets.LoadOrStore(t.Machine, &preset{pl: pl, fp: pl.Fingerprint()})
+	}
+	p := v.(*preset)
+	if p.fp != t.PlatformFingerprint {
+		return nil, fmt.Errorf("store: machine %s drifted from the table's model (%s vs %s); recompile the artifact",
+			t.Machine, p.fp, t.PlatformFingerprint)
+	}
+	return p.pl, nil
 }
 
 // Compile measures every (collective, procs, size) grid point and returns

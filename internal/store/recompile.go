@@ -9,7 +9,6 @@ import (
 
 	"collsel/internal/coll"
 	"collsel/internal/expt"
-	"collsel/internal/netmodel"
 	"collsel/internal/runner"
 )
 
@@ -72,13 +71,9 @@ func RecompileCells(ctx context.Context, base *Table, patches []CellPatch, cfg R
 	if cfg.ProfileDigest == "" {
 		return nil, fmt.Errorf("store: recompile without a profile digest")
 	}
-	pl := netmodel.ByName(base.Machine)
-	if pl == nil {
-		return nil, fmt.Errorf("store: table machine %q is not a known preset", base.Machine)
-	}
-	if fp := pl.Fingerprint(); fp != base.PlatformFingerprint {
-		return nil, fmt.Errorf("store: machine %s drifted from the table's model (%s vs %s); recompile the artifact offline",
-			base.Machine, fp, base.PlatformFingerprint)
+	pl, err := base.Platform()
+	if err != nil {
+		return nil, err
 	}
 
 	// The base table is shared with concurrent readers and stays untouched.

@@ -315,6 +315,35 @@ func TestCompileMatchesDirectSelection(t *testing.T) {
 	}
 }
 
+// TestTablePlatform pins the one resolution of a table's machine that
+// every live selection on it uses: a memoized preset, refused when the
+// model drifted from the table's fingerprint or is unknown.
+func TestTablePlatform(t *testing.T) {
+	tb := tinyTable(t)
+	pl, err := tb.Platform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := tb.Platform(); again != pl {
+		t.Fatal("preset resolved to a fresh platform on the second call")
+	}
+	drifted, unknown := *tb, *tb
+	drifted.PlatformFingerprint = "fp-of-another-model"
+	unknown.Machine = "NoSuchMachine"
+	for _, c := range []struct {
+		tb   *Table
+		want string
+	}{{&drifted, "drifted"}, {&unknown, "not a known preset"}} {
+		if _, err := c.tb.Platform(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("machine %s/%s: err = %v, want %q", c.tb.Machine, c.tb.PlatformFingerprint, err, c.want)
+		}
+	}
+	patch := []CellPatch{{Collective: coll.Alltoall, Procs: 8, MsgBytes: 64, Factor: 2}}
+	if _, err := RecompileCells(context.Background(), &drifted, patch, RecompileConfig{ProfileDigest: "d"}); err == nil {
+		t.Error("recompiled a drifted table")
+	}
+}
+
 // TestCompileByteIdentical pins the reproducibility contract end to end:
 // two compiles of the same inputs (including the injected CreatedUnix
 // stamp) must serialize to byte-identical, checksum-stable artifacts.

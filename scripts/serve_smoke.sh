@@ -7,9 +7,12 @@
 # well-formed 429 + Retry-After responses, (e) with the feedback loop
 # enabled, a batch of drifted arrival-pattern observations posted to
 # /observe triggers a background recompile that hot-swaps a tuned table in
-# while /select keeps answering, and (f) with the model tier on, an
+# while /select keeps answering, (f) with the model tier on, an
 # uncovered query is answered instantly from the analytical model and the
-# background refinement promotes the simulated cell into the hot table.
+# background refinement promotes the simulated cell into the hot table,
+# and (g) `selector -save` writes cells into the same artifact format:
+# re-saving a compiled cell leaves the checksum unchanged, and a freshly
+# saved cell is served as an exact table hit.
 # SimCluster is noiseless with perfect clocks, so one repetition is fully
 # deterministic and the two paths must agree exactly.
 set -eux
@@ -17,11 +20,13 @@ set -eux
 addr=127.0.0.1:18177
 addr2=127.0.0.1:18178
 addr3=127.0.0.1:18179
+addr4=127.0.0.1:18180
 tmp=$(mktemp -d)
 pid=
 pid2=
 pid3=
-trap 'test -n "$pid" && kill "$pid" 2>/dev/null; test -n "$pid2" && kill "$pid2" 2>/dev/null; test -n "$pid3" && kill "$pid3" 2>/dev/null; rm -rf "$tmp"' EXIT
+pid4=
+trap 'for p in "$pid" "$pid2" "$pid3" "$pid4"; do test -n "$p" && kill "$p" 2>/dev/null; done; rm -rf "$tmp"' EXIT
 
 # `make serve-smoke` builds every tool once (shared with the other CI
 # jobs) and points BIN_DIR here; standalone runs build into the temp dir.
@@ -55,6 +60,32 @@ test -n "$served_alg"
 direct_alg=$("$bindir/selector" -machine SimCluster -coll alltoall -procs 8 \
     -size 1024 -reps 1 | sed -n 's/^recommended (pattern-robust): *//p')
 test "$served_alg" = "$direct_alg"
+
+# selector -save installs its cell into the same artifact format. At a
+# point the compiler already compiled the cell is identical (-reps 0
+# matches the compile defaults), so the checksum does not move.
+checksum() { sed -n 's/.*"checksum":"\([^"]*\)".*/\1/p' "$1"; }
+cp "$tmp/table.json" "$tmp/copy.json"
+"$bindir/selector" -machine SimCluster -coll alltoall -procs 8 \
+    -size 1024 -reps 0 -save "$tmp/copy.json" >/dev/null
+test -n "$(checksum "$tmp/table.json")"
+test "$(checksum "$tmp/copy.json")" = "$(checksum "$tmp/table.json")"
+
+# A cell the table does not hold, saved into a fresh artifact, is served
+# by collseld from the table (cold path and model tier off).
+"$bindir/selector" -machine SimCluster -coll alltoall -procs 8 \
+    -size 4096 -reps 0 -save "$tmp/saved.json" >/dev/null
+"$bindir/collseld" -store "$tmp/saved.json" -addr "$addr4" -no-cold -model-tier=false &
+pid4=$!
+for _ in $(seq 1 50); do
+    curl -sf "http://$addr4/healthz" >/dev/null 2>&1 && break
+    sleep 0.2
+done
+saved=$(curl -sf "http://$addr4/select?collective=alltoall&msg_bytes=4096&procs=8")
+echo "$saved" | grep -q '"source":"table"'
+echo "$saved" | grep -q '"exact":true'
+kill "$pid4"
+pid4=
 
 # Hot reload keeps serving the same content-addressed version.
 curl -sf -X POST "http://$addr/reload" | grep -q '"new_version"'

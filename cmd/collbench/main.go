@@ -16,6 +16,7 @@ import (
 
 	"collsel/internal/cliutil"
 	"collsel/internal/expt"
+	"collsel/internal/runner"
 )
 
 func main() {
@@ -54,7 +55,7 @@ func main() {
 		MsgSizes:   msgSizes,
 		Reps:       *reps,
 		Seed:       *seed,
-		Runner:     cliutil.Engine(*workers),
+		Runner:     runner.New(runner.WithWorkers(*workers)),
 		Progress:   cliutil.ProgressPrinter(os.Stderr, "collbench", *progress),
 	})
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 
 	"collsel/internal/cliutil"
 	"collsel/internal/fault"
+	"collsel/internal/runner"
 	"collsel/internal/store"
 )
 
@@ -82,7 +83,7 @@ func main() {
 		Faults:      faults,
 		WatchdogNs:  *watchdog,
 		PruneTopK:   *pruneTopK,
-		Runner:      cliutil.Engine(*workers),
+		Runner:      runner.New(runner.WithWorkers(*workers)),
 		Progress:    cliutil.ProgressPrinter(os.Stderr, "compilestore", *progress),
 		CreatedUnix: *created,
 	})

@@ -18,6 +18,7 @@ import (
 	"collsel/internal/cliutil"
 	"collsel/internal/coll"
 	"collsel/internal/expt"
+	"collsel/internal/runner"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func main() {
 		Seed:        *seed,
 		Reps:        *reps,
 		WatchdogNs:  *watchdog,
-		Runner:      cliutil.Engine(*workers),
+		Runner:      runner.New(runner.WithWorkers(*workers)),
 		Progress:    cliutil.ProgressPrinter(os.Stderr, "faultstudy", *progress),
 	})
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"collsel/internal/coll"
 	"collsel/internal/expt"
 	"collsel/internal/model"
+	"collsel/internal/runner"
 	"collsel/internal/stats"
 )
 
@@ -62,7 +63,7 @@ func main() {
 	if len(msgSizes) == 0 {
 		msgSizes = []int{8, 64, 1024, 16 * 1024, 256 * 1024, 1024 * 1024}
 	}
-	eng := cliutil.Engine(*workers)
+	eng := runner.New(runner.WithWorkers(*workers))
 
 	failed := false
 	for _, c := range collectives {

@@ -24,6 +24,7 @@ import (
 	"collsel/internal/cliutil"
 	"collsel/internal/coll"
 	"collsel/internal/expt"
+	"collsel/internal/runner"
 	"collsel/internal/store"
 	"collsel/internal/table"
 )
@@ -67,7 +68,7 @@ func main() {
 		Factor:     *factor,
 		Reps:       *reps,
 		Seed:       *seed,
-		Runner:     cliutil.Engine(*workers),
+		Runner:     runner.New(runner.WithWorkers(*workers)),
 		Progress:   cliutil.ProgressPrinter(os.Stderr, "selector", *progress),
 	}
 	if *save != "" {

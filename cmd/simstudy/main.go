@@ -17,6 +17,7 @@ import (
 	"collsel/internal/cliutil"
 	"collsel/internal/expt"
 	"collsel/internal/netmodel"
+	"collsel/internal/runner"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 		MsgSizes:   msgSizes,
 		Factor:     *factor,
 		Seed:       *seed,
-		Runner:     cliutil.Engine(*workers),
+		Runner:     runner.New(runner.WithWorkers(*workers)),
 		Progress:   cliutil.ProgressPrinter(os.Stderr, "simstudy", *progress),
 	})
 	if err != nil {

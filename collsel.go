@@ -199,7 +199,7 @@ const (
 
 // BuildMatrix measures a full grid and returns the matrix plus the
 // per-algorithm no-delay runtimes. BuildMatrixCtx adds cancellation; both
-// execute cells on the parallel memoizing grid engine, with results
+// execute cells on the parallel grid engine, with results
 // bit-identical at any worker count. BuildMatrixDegraded keeps going past
 // failed cells (crashes, exhausted retransmissions, watchdog trips) and
 // reports them instead of aborting.
@@ -494,23 +494,18 @@ func Select(cfg SelectConfig) (*Selection, error) {
 //
 // The grid is measured on a worker pool (GOMAXPROCS-wide by default) with
 // per-cell seeds derived from grid coordinates, so the outcome is
-// bit-identical at any parallelism; finished cells are memoized in a
-// process-wide cache, so repeating an identical selection is free.
+// bit-identical at any parallelism. Every call simulates its whole grid:
+// nothing is memoized between selections, so repeating one re-measures
+// every cell and reproduces the same bytes.
 //
 // Cancellation is cooperative all the way down: when ctx is cancelled (or
 // its deadline passes), in-flight simulation kernels abort promptly
-// mid-grid rather than running their cells to completion, and the aborted
-// partial results are never memoized — a retry under a live context
-// recomputes them. Cancellation is wall-clock control, not cell identity:
-// it can never change the bit-identical result of a completed selection.
+// mid-grid rather than running their cells to completion. Cancellation is
+// wall-clock control, not cell identity: it can never change the
+// bit-identical result of a completed selection.
 func SelectCtx(ctx context.Context, cfg SelectConfig, opts ...Option) (*Selection, error) {
 	for _, o := range opts {
 		o(&cfg)
-	}
-	var eng *runner.Engine
-	if cfg.Workers > 0 {
-		// A bounded pool that still shares the process-wide cell cache.
-		eng = runner.New(runner.WithWorkers(cfg.Workers), runner.WithCache(runner.DefaultCache()))
 	}
 	out, err := expt.SelectRobustCtx(ctx, expt.SelectSpec{
 		Platform:   cfg.Machine,
@@ -527,7 +522,7 @@ func SelectCtx(ctx context.Context, cfg SelectConfig, opts ...Option) (*Selectio
 		WatchdogNs: cfg.WatchdogNs,
 		Algorithms: cfg.Algorithms,
 		PruneTopK:  cfg.PruneTopK,
-		Runner:     eng,
+		Runner:     runner.New(runner.WithWorkers(cfg.Workers)),
 		Progress:   cfg.Progress,
 	})
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"collsel/internal/coll"
 	"collsel/internal/netmodel"
-	"collsel/internal/runner"
 )
 
 // ParseSizes parses a comma-separated list of positive byte sizes.
@@ -84,17 +83,6 @@ func ParseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// Engine builds a grid-execution engine for a tool's -workers flag:
-// 0 returns nil (the caller falls back to the shared default engine, i.e.
-// GOMAXPROCS workers); a positive value bounds the pool at that size while
-// still sharing the process-wide cell cache.
-func Engine(workers int) *runner.Engine {
-	if workers <= 0 {
-		return nil
-	}
-	return runner.New(runner.WithWorkers(workers), runner.WithCache(runner.DefaultCache()))
 }
 
 // ProgressPrinter returns a (done, total) callback that rewrites one

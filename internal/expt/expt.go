@@ -110,9 +110,9 @@ type GridConfig struct {
 	// next event would exceed this deadline aborts with a diagnostic instead
 	// of running (or hanging) forever. 0 disables the watchdog.
 	WatchdogNs int64
-	// Runner executes the grid's cells; nil uses runner.Default(), the
-	// process-wide engine with GOMAXPROCS workers and a shared memoization
-	// cache. Results are bit-identical at any worker count.
+	// Runner executes the grid's cells; nil uses runner.New(), a
+	// GOMAXPROCS-wide engine. Every cell is simulated; results are
+	// bit-identical at any worker count.
 	Runner *runner.Engine
 	// Progress, when non-nil, is called after every completed cell with the
 	// number of finished and total cells of the whole grid (both measurement
@@ -197,7 +197,7 @@ func BuildMatrix(g GridConfig) (*core.Matrix, []float64, error) {
 }
 
 // BuildMatrixCtx is BuildMatrix with cancellation. Cells are executed on
-// the grid's runner engine (runner.Default() when unset); results are
+// the grid's runner engine (runner.New() when unset); results are
 // bit-identical to a serial evaluation at any worker count because every
 // cell's seed is derived from its grid coordinates. The first failed cell
 // (smallest grid index) aborts the build; see BuildMatrixDegraded for the
@@ -222,7 +222,7 @@ func buildMatrix(ctx context.Context, g GridConfig, tolerate bool) (*core.Matrix
 
 	eng := g.Runner
 	if eng == nil {
-		eng = runner.Default()
+		eng = runner.New()
 	}
 	nAlg := len(g.Algorithms)
 	total := nAlg * (1 + len(g.Shapes) + len(g.ExtraPatterns))

@@ -40,7 +40,7 @@ type FaultStudyConfig struct {
 	// WatchdogNs arms each cell's virtual-time watchdog (default 60 s of
 	// virtual time, generous enough for any surviving cell).
 	WatchdogNs int64
-	// Runner executes the grids (nil: runner.Default()); Progress reports
+	// Runner executes the grids (nil: runner.New()); Progress reports
 	// (done, total) cells over the whole sweep.
 	Runner   *runner.Engine
 	Progress func(done, total int)

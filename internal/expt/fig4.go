@@ -28,7 +28,7 @@ type Fig4Config struct {
 	Seed   int64
 	// Procs beyond the SimCluster need a custom platform.
 	Platform *netmodel.Platform
-	// Runner executes the grids (nil: runner.Default()).
+	// Runner executes the grids (nil: runner.New()).
 	Runner *runner.Engine
 	// Progress, when non-nil, is called after each completed cell with
 	// (done, total) over the whole study (all sizes).

@@ -23,7 +23,7 @@ type Fig5Config struct {
 	MsgSizes   []int
 	Seed       int64
 	Reps       int
-	// Runner executes the grids (nil: runner.Default()); Progress reports
+	// Runner executes the grids (nil: runner.New()); Progress reports
 	// (done, total) cells over the whole study.
 	Runner   *runner.Engine
 	Progress func(done, total int)
@@ -143,7 +143,7 @@ type Fig6Config struct {
 	MsgSizes   []int
 	Seed       int64
 	Reps       int
-	// Runner executes the grids (nil: runner.Default()); Progress reports
+	// Runner executes the grids (nil: runner.New()); Progress reports
 	// (done, total) cells over the whole study.
 	Runner   *runner.Engine
 	Progress func(done, total int)

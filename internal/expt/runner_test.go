@@ -1,10 +1,9 @@
 package expt
 
-// Determinism and memoization guarantees of the parallel grid engine:
-// BuildMatrix must produce bit-identical matrices at any worker count, the
-// parallel path must match a hand-rolled serial evaluation using the legacy
-// seed scheme, and rebuilding an identical grid must hit the cell cache
-// without running a single simulation.
+// Determinism guarantees of the parallel grid engine: BuildMatrix must
+// produce bit-identical matrices at any worker count, and the parallel
+// path must match a hand-rolled serial evaluation using the legacy seed
+// scheme.
 
 import (
 	"runtime"
@@ -118,8 +117,7 @@ func TestBuildMatrixBitIdenticalAcrossWorkers(t *testing.T) {
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		gg := g
-		// A cache-less engine forces every cell to actually simulate.
-		gg.Runner = runner.New(runner.WithWorkers(workers), runner.WithCache(nil))
+		gg.Runner = runner.New(runner.WithWorkers(workers))
 		m, noDelay, err := BuildMatrixCtx(t.Context(), gg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -142,31 +140,6 @@ func itoa(n int) string {
 		b = append([]byte{byte('0' + n%10)}, b...)
 	}
 	return string(b)
-}
-
-func TestBuildMatrixSecondBuildHitsCache(t *testing.T) {
-	g := hydraAlltoallGrid(t)
-	eng := runner.New(runner.WithWorkers(4))
-	g.Runner = eng
-
-	first, _, err := BuildMatrixCtx(t.Context(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := eng.Cache().Stats().Misses
-	cells := len(g.Algorithms) * (1 + len(g.Shapes))
-	if misses != int64(cells) {
-		t.Fatalf("first build simulated %d cells, want %d", misses, cells)
-	}
-
-	second, _, err := BuildMatrixCtx(t.Context(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := eng.Cache().Stats().Misses; m != misses {
-		t.Errorf("second identical build simulated %d cells, want 0", m-misses)
-	}
-	matricesEqual(t, "cached rebuild", second, first)
 }
 
 func TestBuildMatrixProgressCoversBothPasses(t *testing.T) {

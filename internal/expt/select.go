@@ -56,7 +56,7 @@ type SelectSpec struct {
 	// dense winner survives the cut the pruned selection reproduces it
 	// bit-for-bit (the robust ranking's tie-break is candidate position).
 	PruneTopK int
-	// Runner executes the grid's cells; nil uses runner.Default().
+	// Runner executes the grid's cells; nil uses runner.New().
 	Runner *runner.Engine
 	// Progress, when non-nil, is called after every measured cell with
 	// (done, total) over the spec's whole grid.

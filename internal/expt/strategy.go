@@ -66,8 +66,8 @@ func CompareStrategies(g GridConfig) (*StrategyComparison, error) {
 }
 
 // CompareStrategiesCtx is CompareStrategies with cancellation; the grid is
-// measured on g.Runner (runner.Default() when unset), so repeated
-// comparisons of the same configuration are served from the cell cache.
+// measured on g.Runner (runner.New() when unset), and every call simulates
+// its cells afresh.
 func CompareStrategiesCtx(ctx context.Context, g GridConfig) (*StrategyComparison, error) {
 	m, _, err := BuildMatrixCtx(ctx, g)
 	if err != nil {

@@ -70,8 +70,8 @@ type Config struct {
 	// Cancel, when non-nil, cooperatively cancels the run: closing it makes
 	// the simulation abort with an error wrapping context.Canceled instead
 	// of burning CPU to completion. It is wall-clock control, not part of
-	// the cell's identity — runner.CellKey excludes it, so configs differing
-	// only in Cancel share a cache entry.
+	// the cell's identity: configs differing only in Cancel produce the same
+	// result when they complete.
 	Cancel <-chan struct{}
 }
 

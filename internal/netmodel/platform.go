@@ -232,9 +232,9 @@ func (p *Platform) Validate() error {
 // parameter set, "<name>#<16 hex digits>". Platform is a plain value struct
 // (no pointers, no functions), so the printed form is a complete canonical
 // serialization; two platforms with equal fingerprints behave identically
-// in every simulation. The fingerprint names platforms in cell-cache keys
-// and ties decision-table artifacts to the machine model they were compiled
-// for, so a drifted preset is detected instead of silently served.
+// in every simulation. The fingerprint ties decision-table artifacts to the
+// machine model they were compiled for, so a drifted preset is detected
+// instead of silently served.
 func (p *Platform) Fingerprint() string {
 	if p == nil {
 		return "nil"

@@ -54,10 +54,10 @@ func (m *Model) rng(r int) *rand.Rand {
 // builds hundreds of worlds over the same few dozen (platform, size, seed)
 // triples, each re-seeding a generator (the single most expensive part of
 // world construction) to re-derive an identical vector. Platforms are keyed
-// by pointer, which callers already treat as immutable after construction
-// (see runner's platform fingerprint cache). The cached slices are shared
-// and never written after publication. The map is capped so that churning
-// seeds or platforms cannot grow it without bound.
+// by pointer, which callers already treat as immutable after construction.
+// The cached slices are shared and never written after publication. The map
+// is capped so that churning seeds or platforms cannot grow it without
+// bound.
 var (
 	speedCache   sync.Map // speedKey -> []float64
 	speedCacheN  int64

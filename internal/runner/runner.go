@@ -1,8 +1,9 @@
 // Package runner is the parallel grid-execution engine behind the
 // measurement matrices: it fans independent micro-benchmark cells out
-// across a worker pool, memoizes finished cells so repeated selections
-// never re-simulate identical work, and keeps every result bit-identical
-// to a serial run.
+// across a worker pool and keeps every result bit-identical to a serial
+// run. It holds no state between calls: every cell of every Map is
+// simulated, and the served decision table is the only cache of computed
+// cells.
 //
 // Determinism is the design constraint. Each cell is an independent
 // discrete-event simulation whose outcome is a pure function of its
@@ -11,10 +12,6 @@
 // execution order (CellSeed/NoDelaySeed/PatternSeed) — and (b) results are
 // returned in cell order with the first-in-order error winning. Under
 // those rules any worker count, including 1, produces the same bytes.
-//
-// The zero-configuration entry point is Default(), a process-wide engine
-// with GOMAXPROCS workers and a shared memoization cache; expt.BuildMatrix
-// uses it when no engine is supplied.
 package runner
 
 import (
@@ -33,7 +30,7 @@ type Cell struct {
 	// (conventionally "pattern/algorithm").
 	Label string
 	// Config is the cell's complete simulation input; two cells with
-	// identical configs have identical results and share a cache entry.
+	// identical configs have identical results.
 	Config microbench.Config
 }
 
@@ -43,8 +40,9 @@ type Progress struct {
 	Done, Total int
 	// Label is the completed cell's label.
 	Label string
-	// CacheHit is true when the cell was served from the memoization cache
-	// (or coalesced onto an identical in-flight cell).
+	// CacheHit is always false: the engine simulates every cell. It stays
+	// only for existing readers (perfbench) and is removed by the next change
+	// to the benchmark harness.
 	CacheHit bool
 }
 
@@ -72,7 +70,6 @@ func (e *CellError) Unwrap() error { return e.Err }
 // Engine executes batches of cells on a worker pool.
 type Engine struct {
 	workers  int
-	cache    *Cache
 	progress func(Progress)
 }
 
@@ -83,47 +80,19 @@ type Option func(*Engine)
 // GOMAXPROCS.
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// WithCache installs the memoization cache; nil disables memoization.
-func WithCache(c *Cache) Option { return func(e *Engine) { e.cache = c } }
-
 // WithProgress installs a callback invoked after every completed cell.
 // Calls are serialized by the engine; fn must not invoke the engine.
 func WithProgress(fn func(Progress)) Option { return func(e *Engine) { e.progress = fn } }
 
-// New creates an engine with its own cache, GOMAXPROCS workers and no
-// progress callback, then applies opts.
+// New creates an engine with GOMAXPROCS workers and no progress callback,
+// then applies opts.
 func New(opts ...Option) *Engine {
-	e := &Engine{cache: NewCache()}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
-
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// DefaultCacheCap bounds the process-wide default cache: a long-lived
-// server whose cold path churns distinct cells (every uncovered message
-// size is a new cell) would otherwise grow the memo cache — and with it,
-// every GC cycle — without bound. The cap comfortably holds several full
-// decision-table studies.
-const DefaultCacheCap = 8192
-
-// Default returns the process-wide engine: GOMAXPROCS workers and a shared
-// LRU-bounded memoization cache (DefaultCacheCap completed cells), so
-// repeated selections across the whole process rarely re-simulate a cell.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New(WithCache(NewCacheLRU(DefaultCacheCap))) })
-	return defaultEngine
-}
-
-// DefaultCache returns the shared cache of the Default engine. Custom
-// engines can adopt it (WithCache) to share memoized cells with the rest of
-// the process.
-func DefaultCache() *Cache { return Default().cache }
 
 // Workers returns the effective pool size.
 func (e *Engine) Workers() int {
@@ -132,9 +101,6 @@ func (e *Engine) Workers() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// Cache returns the engine's memoization cache (nil when disabled).
-func (e *Engine) Cache() *Cache { return e.cache }
 
 // Map evaluates every cell and returns the results in cell order. The
 // output — values, ordering, and which error is reported — is independent
@@ -179,13 +145,13 @@ func (e *Engine) MapAll(ctx context.Context, cells []Cell, opts ...Option) ([]mi
 
 	var progressMu sync.Mutex
 	done := 0
-	report := func(i int, hit bool) {
+	report := func(i int) {
 		if run.progress == nil {
 			return
 		}
 		progressMu.Lock()
 		done++
-		run.progress(Progress{Done: done, Total: n, Label: cells[i].Label, CacheHit: hit})
+		run.progress(Progress{Done: done, Total: n, Label: cells[i].Label})
 		progressMu.Unlock()
 	}
 
@@ -200,10 +166,13 @@ func (e *Engine) MapAll(ctx context.Context, cells []Cell, opts ...Option) ([]mi
 					errs[i] = err
 					continue
 				}
-				res, err, hit := run.eval(ctx, cells[i].Config)
-				results[i], errs[i] = res, err
-				if err == nil {
-					report(i, hit)
+				// The simulation polls ctx.Done() cooperatively, so a
+				// canceled Map stops burning CPU on doomed cells.
+				cfg := cells[i].Config
+				cfg.Cancel = ctx.Done()
+				results[i], errs[i] = microbench.Run(cfg)
+				if errs[i] == nil {
+					report(i)
 				}
 			}
 		}()
@@ -231,32 +200,6 @@ func (e *Engine) MapAll(ctx context.Context, cells []Cell, opts ...Option) ([]mi
 		cellErrs = append(cellErrs, &CellError{Index: i, Label: cells[i].Label, Err: err})
 	}
 	return results, cellErrs, nil
-}
-
-// eval runs one cell, through the cache when one is installed. The cell
-// simulation polls ctx.Done() cooperatively, so a canceled Map stops
-// burning CPU instead of finishing doomed simulations.
-func (e *Engine) eval(ctx context.Context, cfg microbench.Config) (microbench.Result, error, bool) {
-	cfg.Cancel = ctx.Done()
-	if e.cache == nil {
-		res, err := microbench.Run(cfg)
-		return res, err, false
-	}
-	key := CellKey(cfg) // excludes Cancel: coalesced callers share the entry
-	for {
-		res, err, hit := e.cache.do(key, func() (microbench.Result, error) {
-			return microbench.Run(cfg)
-		})
-		if hit && err != nil && errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			// We coalesced onto a leader whose run was canceled; the cache
-			// dropped that entry, so retrying makes this caller the new
-			// leader computing under its own (live) context.
-			continue
-		}
-		// Callers own their Result; detach the shared Reps slice.
-		res.Reps = append([]microbench.RepMetrics(nil), res.Reps...)
-		return res, err, hit
-	}
 }
 
 // --- Seed derivation ---------------------------------------------------------

@@ -12,7 +12,6 @@ import (
 	"collsel/internal/coll"
 	"collsel/internal/microbench"
 	"collsel/internal/netmodel"
-	"collsel/internal/pattern"
 )
 
 // testCells builds n distinct, fast cells (distinct seeds).
@@ -45,7 +44,7 @@ func TestMapResultsIndependentOfWorkerCount(t *testing.T) {
 	cells := testCells(t, 12)
 	var ref []microbench.Result
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		eng := New(WithWorkers(workers), WithCache(nil)) // no cache: every run simulates
+		eng := New(WithWorkers(workers))
 		got, err := eng.Map(context.Background(), cells)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -62,62 +61,12 @@ func TestMapResultsIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
-func TestMapCoalescesIdenticalCells(t *testing.T) {
-	base := testCells(t, 1)[0]
-	cells := make([]Cell, 6)
-	for i := range cells {
-		cells[i] = base // six identical cells in one batch
-	}
-	eng := New(WithWorkers(4))
-	res, err := eng.Map(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := eng.Cache().Stats(); s.Misses != 1 || s.Hits != 5 {
-		t.Errorf("stats = %+v, want 1 miss, 5 hits", s)
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].LastDelay != res[0].LastDelay {
-			t.Errorf("cell %d result differs from coalesced cell 0", i)
-		}
-	}
-	// Cached results must be detached copies.
-	if len(res[0].Reps) > 0 {
-		res[0].Reps[0].LastDelayNs = -1
-		if res[1].Reps[0].LastDelayNs == -1 {
-			t.Error("cache handed out a shared Reps slice")
-		}
-	}
-}
-
-func TestCacheAcrossMapCalls(t *testing.T) {
-	cells := testCells(t, 5)
-	eng := New(WithWorkers(2))
-	first, err := eng.Map(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	missesAfterFirst := eng.Cache().Stats().Misses
-	second, err := eng.Map(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := eng.Cache().Stats().Misses; m != missesAfterFirst {
-		t.Errorf("second identical Map simulated %d cells, want 0", m-missesAfterFirst)
-	}
-	for i := range second {
-		if second[i].LastDelay != first[i].LastDelay {
-			t.Errorf("cached cell %d differs from first run", i)
-		}
-	}
-}
-
 func TestMapReportsSmallestIndexError(t *testing.T) {
 	cells := testCells(t, 8)
 	cells[3].Config.Count = 0 // invalid: microbench rejects it
 	cells[6].Config.Count = 0
 	for _, workers := range []int{1, 4} {
-		eng := New(WithWorkers(workers), WithCache(nil))
+		eng := New(WithWorkers(workers))
 		_, err := eng.Map(context.Background(), cells)
 		var ce *CellError
 		if !errors.As(err, &ce) {
@@ -152,43 +101,6 @@ func TestMapProgress(t *testing.T) {
 		if p.Done != i+1 || p.Total != len(cells) {
 			t.Errorf("event %d = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, len(cells))
 		}
-	}
-}
-
-func TestCellKeyDistinguishesInputs(t *testing.T) {
-	base := testCells(t, 1)[0].Config
-	key := CellKey(base)
-
-	procsChanged := base
-	procsChanged.Procs = 16
-	seedChanged := base
-	seedChanged.Seed = 99
-	patChanged := base
-	patChanged.Pattern = pattern.Generate(pattern.Ascending, 8, 1000, 1)
-	platChanged := base
-	hydra := netmodel.Hydra()
-	platChanged.Platform = hydra
-	for name, cfg := range map[string]microbench.Config{
-		"procs": procsChanged, "seed": seedChanged, "pattern": patChanged, "platform": platChanged,
-	} {
-		if CellKey(cfg) == key {
-			t.Errorf("changing %s did not change the cell key", name)
-		}
-	}
-
-	// Equal content on a distinct *Platform instance must share a key.
-	fresh := base
-	fresh.Platform = netmodel.SimCluster()
-	if CellKey(fresh) != key {
-		t.Error("fresh identical platform instance changed the cell key")
-	}
-
-	// Same pattern name, different delays must not collide.
-	a, b := base, base
-	a.Pattern = pattern.FromDelays("traced", []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	b.Pattern = pattern.FromDelays("traced", []int64{1, 2, 3, 4, 5, 6, 7, 9})
-	if CellKey(a) == CellKey(b) {
-		t.Error("patterns with equal names but different delays share a key")
 	}
 }
 
@@ -233,50 +145,6 @@ func TestMapAllRecordsEveryFailure(t *testing.T) {
 		if results[i].Procs != 0 {
 			t.Errorf("failed cell %d has non-zero result", i)
 		}
-	}
-}
-
-func TestCacheLRUEvicts(t *testing.T) {
-	cells := testCells(t, 8)
-	c := NewCacheLRU(3)
-	eng := New(WithWorkers(1), WithCache(c))
-	if _, err := eng.Map(context.Background(), cells); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Len(); got > 3 {
-		t.Errorf("cache holds %d entries, cap is 3", got)
-	}
-	st := c.Stats()
-	if st.Evictions != 5 {
-		t.Errorf("evictions = %d, want 5", st.Evictions)
-	}
-	if st.Misses != 8 || st.Hits != 0 {
-		t.Errorf("stats %+v, want 8 misses, 0 hits", st)
-	}
-	// The three most recent cells are retained: re-running them is all hits.
-	if _, err := eng.Map(context.Background(), cells[5:]); err != nil {
-		t.Fatal(err)
-	}
-	if st = c.Stats(); st.Hits != 3 {
-		t.Errorf("hits = %d, want 3 (retained tail)", st.Hits)
-	}
-	// An evicted cell re-simulates (and evicts the now-oldest entry).
-	if _, err := eng.Map(context.Background(), cells[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if st = c.Stats(); st.Misses != 9 || st.Evictions != 6 {
-		t.Errorf("stats %+v, want 9 misses and 6 evictions", st)
-	}
-}
-
-func TestCacheLRUUnboundedWhenCapZero(t *testing.T) {
-	c := NewCacheLRU(0)
-	eng := New(WithWorkers(2), WithCache(c))
-	if _, err := eng.Map(context.Background(), testCells(t, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 5 || c.Stats().Evictions != 0 {
-		t.Errorf("len=%d evictions=%d, want 5 and 0", c.Len(), c.Stats().Evictions)
 	}
 }
 
@@ -342,8 +210,8 @@ func TestMapCancelStopsRunningCell(t *testing.T) {
 	t.Logf("canceled after %v", time.Since(start))
 
 	// The engine stays usable after a cancellation: a fresh (tiny) cell on a
-	// live context computes cleanly. (Key-level non-poisoning is covered by
-	// TestCacheDropsCanceledEntries.)
+	// live context computes cleanly, since the engine keeps nothing from the
+	// canceled call.
 	al, ok := coll.ByID(coll.Alltoall, 3) // bruck
 	if !ok {
 		t.Fatal("no alltoall algorithm 3")
@@ -351,26 +219,5 @@ func TestMapCancelStopsRunningCell(t *testing.T) {
 	cell.Config.Algorithm = al
 	if _, err := eng.Map(context.Background(), []Cell{cell}); err != nil {
 		t.Fatalf("Map after cancellation: %v", err)
-	}
-}
-
-// TestCacheDropsCanceledEntries: a canceled leader's error is not memoized;
-// the next requester of the same key recomputes and succeeds.
-func TestCacheDropsCanceledEntries(t *testing.T) {
-	c := NewCache()
-	key := "k"
-	if _, err, _ := c.do(key, func() (microbench.Result, error) {
-		return microbench.Result{}, fmt.Errorf("wrapped: %w", context.Canceled)
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatal("canceled run did not report cancellation")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("canceled entry memoized (len %d)", c.Len())
-	}
-	res, err, hit := c.do(key, func() (microbench.Result, error) {
-		return microbench.Result{Procs: 7}, nil
-	})
-	if err != nil || hit || res.Procs != 7 {
-		t.Fatalf("recompute after canceled entry: res=%+v err=%v hit=%v", res, err, hit)
 	}
 }

@@ -49,7 +49,7 @@ func BenchmarkServeHotLoopback(b *testing.B) {
 
 // BenchmarkColdSelectCtx measures the selection a table hit replaces: the
 // full pattern x algorithm simulation grid. Each iteration uses a distinct
-// message size so the process-wide cell cache cannot answer for it.
+// message size, as a stream of uncovered queries would.
 func BenchmarkColdSelectCtx(b *testing.B) {
 	tb := compileTiny(b, 1)
 	b.ResetTimer()

@@ -36,8 +36,10 @@ type CompileConfig struct {
 	Warmup     int
 	Faults     fault.Profile
 	WatchdogNs int64
-	// Runner executes the grids (nil: runner.Default()); Progress reports
-	// (done, total) measured cells over the whole compilation.
+	// Runner executes the grids (nil: runner.New()); every grid cell is
+	// simulated, since the compiled table is the only cache of computed
+	// cells. Progress reports (done, total) measured cells over the whole
+	// compilation.
 	Runner   *runner.Engine
 	Progress func(done, total int)
 	// PruneTopK, when positive, lets the analytical model tier pre-rank
@@ -162,9 +164,8 @@ func SpecOf(t *Table, pl *netmodel.Platform, c coll.Collective, procs, msgBytes 
 // presets memoizes preset resolution and fingerprinting per machine name.
 // netmodel.ByName returns a fresh *Platform per call; resolving every live
 // selection through a fresh pointer would re-fingerprint the model each
-// time and defeat the pointer-keyed memoizations downstream (cell keys,
-// noise speed vectors), which is most of a cold selection's constant
-// overhead. Selections never mutate the platform, and the preset namespace
+// time and defeat the pointer-keyed memoization downstream (noise speed
+// vectors), which is most of a cold selection's constant overhead. Selections never mutate the platform, and the preset namespace
 // is fixed at compile time, so the map is naturally bounded.
 var presets sync.Map // machine name -> *preset
 

@@ -49,7 +49,8 @@ type RecompileConfig struct {
 	// patches were planned from; it seeds the recompilation (DeriveSeed)
 	// and is stamped into the artifact's provenance.
 	ProfileDigest string
-	// Runner executes the selections (nil: runner.Default()).
+	// Runner executes the selections (nil: runner.New()); every patched
+	// cell's grid is simulated afresh.
 	Runner *runner.Engine
 }
 

@@ -116,10 +116,13 @@ curl -sf "http://$addr/metrics" | grep -q 'collseld_model_promotions_total [1-9]
 curl -sf "http://$addr/healthz" | grep -q '"coverage"'
 
 # Shed mode: one cold worker and no wait queue, with the model tier off so
-# every uncovered query takes the cold path. A concurrent burst of
-# distinct cold sizes (well above the table's range, so every one is a
-# live simulation) must shed most of the load with a well-formed 429
-# carrying Retry-After.
+# every uncovered query takes the cold path. A holder query for a slow
+# cell the table does not cover (256 ranks, about 2.5 s on a 2-vCPU box)
+# occupies the only worker; once
+# /metrics shows it executing, a burst of seven concurrent queries, each
+# in a different uncovered procs section (so no promotion can cover
+# another), must every one be shed with a well-formed 429 carrying
+# Retry-After, while the holder completes as a live computation.
 "$bindir/collseld" -store "$tmp/table.json" -addr "$addr2" \
     -model-tier=false -cold-workers 1 -cold-queue -1 &
 pid2=$!
@@ -128,25 +131,42 @@ for _ in $(seq 1 50); do
     sleep 0.2
 done
 
+curl -s -D "$tmp/hdr_hold" -o "$tmp/body_hold" \
+    "http://$addr2/select?collective=alltoall&msg_bytes=1048576&procs=256" &
+hold_pid=$!
+holding=0
+for _ in $(seq 1 100); do
+    if curl -sf "http://$addr2/metrics" | grep -q '^collseld_inflight_cold 1$'; then
+        holding=1
+        break
+    fi
+    sleep 0.05
+done
+test "$holding" = "1"
+
+burst="16 24 32 40 48 56 64"
 curl_pids=
-for i in 0 1 2 3 4 5 6 7; do
-    size=$((400000 + i))
-    curl -s -D "$tmp/hdr$i" -o "$tmp/body$i" \
-        "http://$addr2/select?collective=alltoall&msg_bytes=$size&procs=8" &
+for p in $burst; do
+    curl -s -D "$tmp/hdr$p" -o "$tmp/body$p" \
+        "http://$addr2/select?collective=alltoall&msg_bytes=1024&procs=$p" &
     curl_pids="$curl_pids $!"
 done
 wait $curl_pids
 
 shed=0
-for i in 0 1 2 3 4 5 6 7; do
-    if head -1 "$tmp/hdr$i" | grep -q ' 429'; then
-        grep -qi '^retry-after:' "$tmp/hdr$i"
-        grep -q '"error"' "$tmp/body$i"
-        shed=$((shed + 1))
-    fi
+for p in $burst; do
+    head -1 "$tmp/hdr$p" | grep -q ' 429'
+    grep -qi '^retry-after:' "$tmp/hdr$p"
+    grep -q '"error"' "$tmp/body$p"
+    shed=$((shed + 1))
 done
-test "$shed" -ge 1
-curl -sf "http://$addr2/metrics" | grep -q 'collseld_shed_total [1-9]'
+test "$shed" -eq 7
+shed_total=$(curl -sf "http://$addr2/metrics" | sed -n 's/^collseld_shed_total \([0-9]*\)$/\1/p')
+test "$shed_total" -ge 7
+
+wait "$hold_pid"
+head -1 "$tmp/hdr_hold" | grep -q ' 200'
+grep -q '"source":"computed"' "$tmp/body_hold"
 
 # Without -observe-wal the feedback loop is off: /observe answers 404.
 observe_off=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
@@ -190,4 +210,4 @@ echo "$tuned" | grep -q '"exact":true'
 curl -sf "http://$addr3/metrics" | grep -q 'collseld_feedback_recompile_successes_total [1-9]'
 test -s "$tmp/wal/autotuned.json"
 
-echo "serve smoke OK: $served_alg (model answer promoted, shed $shed/8 under overload, feedback recompile swapped)"
+echo "serve smoke OK: $served_alg (model answer promoted, shed $shed/7 under overload, feedback recompile swapped)"

@@ -133,7 +133,6 @@ func TestSelectCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := fastSelect()
-	cfg.Seed = 4242 // unlikely to be in the process-wide cache already
 	if _, err := collsel.SelectCtx(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -219,3 +219,60 @@ func TestSlabHandlesStableAndReusedLIFO(t *testing.T) {
 		t.Fatalf("get after reset returned handle %d (%+v), want zeroed handle 0", h, *q)
 	}
 }
+
+// TestInMsgIsPointerFree pins what keeps the GC off the message slab: an
+// inMsg must hold no pointer-bearing field, or the slab's chunks are
+// allocated as scannable memory again. It also pins the 40-byte size that
+// keeps a delivery to one cache line of the slab.
+func TestInMsgIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s: inMsg must hold no pointers", path, typ.Kind())
+		}
+	}
+	typ := reflect.TypeOf(inMsg{})
+	walk(typ.Name(), typ)
+	if size := typ.Size(); size > 40 {
+		t.Errorf("inMsg is %d bytes, want at most 40", size)
+	}
+}
+
+// TestRecycledHandleDropsPayload: a data-mode payload is kept beside its
+// message, under the message's handle, so freeing the handle must clear
+// it. Rank 1's payload-less reply reuses the handle of rank 0's message,
+// which both sides have released by then, and must arrive without Data.
+func TestRecycledHandleDropsPayload(t *testing.T) {
+	w := newTestWorld(t, 2)
+	var first, reply Message
+	err := w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 1, []float64{42}, 0)
+			reply = r.Recv(1, 2)
+		} else {
+			first = r.Recv(0, 1)
+			r.Send(0, 2, nil, 8)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.st.msgs.n != 1 {
+		t.Fatalf("%d message handles issued, want 1: the reply must recycle the first message's handle", w.st.msgs.n)
+	}
+	if len(first.Data) != 1 || first.Data[0] != 42 {
+		t.Fatalf("first message Data = %v, want [42]", first.Data)
+	}
+	if reply.Data != nil {
+		t.Fatalf("reply on a recycled handle yields stale Data %v", reply.Data)
+	}
+}

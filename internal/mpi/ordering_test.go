@@ -45,6 +45,49 @@ func TestNonOvertakingUnderJitter(t *testing.T) {
 	}
 }
 
+// TestNonOvertakingMultiSourceUnderJitter checks the guarantee when early
+// arrivals from several sources wait in one receiver's reorder list at
+// once: four senders each send 20 same-tag messages to rank 0 under
+// violent jitter, and rank 0, receiving from the sources in interleaved
+// order, must see each source's messages in send order.
+func TestNonOvertakingMultiSourceUnderJitter(t *testing.T) {
+	const senders, n = 4, 20
+	p := netmodel.SimCluster()
+	p.Noise = netmodel.NoiseProfile{Enabled: true, LinkJitterFrac: 0.8}
+	for seed := int64(0); seed < 30; seed++ {
+		w, err := NewWorld(Config{Platform: p, Size: senders + 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [senders + 1][]float64
+		err = w.Run(func(r *Rank) {
+			if r.ID() != 0 {
+				reqs := make([]*Request, n)
+				for i := range reqs {
+					reqs[i] = r.Isend(0, 7, []float64{float64(i)}, 8)
+				}
+				Waitall(reqs...)
+				return
+			}
+			for i := 0; i < n; i++ {
+				for src := 1; src <= senders; src++ {
+					got[src] = append(got[src], r.Recv(src, 7).Data[0])
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for src := 1; src <= senders; src++ {
+			for i, v := range got[src] {
+				if v != float64(i) {
+					t.Fatalf("seed %d: message %d from rank %d overtaken: got order %v", seed, i, src, got[src])
+				}
+			}
+		}
+	}
+}
+
 // TestNonOvertakingMixedProtocols checks ordering across the eager /
 // rendezvous boundary: a large (rendezvous) message followed by a small
 // (eager) one with the same envelope must still match in send order.

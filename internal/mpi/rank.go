@@ -19,16 +19,23 @@ type Rank struct {
 	sendBusyUntil sim.Time
 	recvBusyUntil sim.Time
 
-	// Matching state.
-	posted     []*Request // posted receives, in post order
-	unexpected []*inMsg   // arrived-but-unmatched messages, in arrival order
+	// Matching state: envelopes of the posted receives, in post order, and
+	// of the arrived-but-unmatched messages, in arrival order. A scan
+	// compares source and tag inline and follows a handle only on a match;
+	// it stays linear because chargeMatch charges by position.
+	posted     []envelope
+	unexpected []envelope
 
-	// Non-overtaking state: incoming per-source reorder FIFOs and outgoing
-	// per-destination sequence counters. Both are rank-indexed slices
-	// materialized on first use — collectives touch most pairs anyway, and
-	// indexing beats per-pair map allocations on the delivery hot path.
-	inFIFO  []pairFIFO
-	outPseq []int64
+	// Non-overtaking state: the next expected sequence number per source
+	// and the next sequence number per destination, rank-indexed rows of
+	// the store's p² tables materialized on first use (collectives touch
+	// most pairs anyway, and indexing beats per-pair maps on the delivery
+	// hot path), and the arrivals from any source still waiting for a
+	// predecessor. reorder only fills when link jitter reorders the wire
+	// and stays tiny.
+	inPseq  []int32
+	outPseq []int32
+	reorder []held
 
 	// syncModel maps this rank's local clock to the reference clock; set by
 	// SyncClock, identity by default.
@@ -46,18 +53,33 @@ func (r *Rank) NextCollSeq() int {
 	return r.collSeq
 }
 
-// pairFIFO returns the reorder buffer for messages arriving from src.
-func (r *Rank) pairFIFO(src int) *pairFIFO {
-	if r.inFIFO == nil {
-		r.inFIFO = row(&r.w.st.fifo, r.w.size, r.id)
+// inNext returns the sequence number the next matchable message from src
+// must carry.
+func (r *Rank) inNext(src int32) *int32 {
+	if r.inPseq == nil {
+		r.inPseq = row(&r.w.st.inPseq, r.w.size, r.id)
 	}
-	return &r.inFIFO[src]
+	return &r.inPseq[src]
+}
+
+// takeHeld removes the arrival from src with sequence pseq from the
+// reorder list and returns its message handle, if it is there.
+func (r *Rank) takeHeld(src, pseq int32) (int32, bool) {
+	for i, e := range r.reorder {
+		if e.src == src && e.pseq == pseq {
+			last := len(r.reorder) - 1
+			r.reorder[i] = r.reorder[last]
+			r.reorder = r.reorder[:last]
+			return e.h, true
+		}
+	}
+	return 0, false
 }
 
 // nextPseq returns the next per-pair sequence number for messages to dst.
-func (r *Rank) nextPseq(dst int) int64 {
+func (r *Rank) nextPseq(dst int) int32 {
 	if r.outPseq == nil {
-		r.outPseq = row(&r.w.st.pseq, r.w.size, r.id)
+		r.outPseq = row(&r.w.st.outPseq, r.w.size, r.id)
 	}
 	v := r.outPseq[dst]
 	r.outPseq[dst] = v + 1

@@ -22,51 +22,47 @@ type Message struct {
 // and the receiver are done with it. The same entry of the world's message
 // slab travels as eager payload, as rendezvous RTS envelope and as
 // rendezvous data, and is what a completed receive request points at.
+//
+// An inMsg is 40 bytes and holds no pointers, so the slab's chunks are
+// allocated noscan and a delivery touches one cache line of it. A
+// data-mode payload lives beside it in the store's side table, under the
+// message's handle (store.setData); timing-mode messages carry none and
+// never touch that table.
 type inMsg struct {
+	tag   int
+	bytes int
 	// h is the message's own handle in the world's message slab.
-	h             int32
-	src, dst, tag int
-	data          []float64
-	bytes         int
+	h        int32
+	src, dst int32
 	// pseq is the per-(src,dst)-pair sequence number used to enforce MPI's
 	// non-overtaking guarantee at the matching layer: with jittered link
 	// latencies, a later message may physically arrive earlier, but it must
 	// not become *matchable* before its predecessors.
-	pseq int64
+	pseq int32
+	// sendReq is the handle of the sender's request (rendezvous: completed
+	// when the data actually leaves the sender port).
+	sendReq int32
 	// rndv marks a rendezvous message: matching it releases the payload
 	// still at the sender.
 	rndv bool
 	// refs counts the sides (sender, receiver) still holding the message;
 	// see World.releaseMsg.
 	refs int8
-	// sendReq is the handle of the sender's request (rendezvous: completed
-	// when the data actually leaves the sender port).
-	sendReq int32
 }
 
-// pairFIFO reorders messages of one directed (src,dst) pair back into send
-// order before they reach the matching layer.
-type pairFIFO struct {
-	next int64
-	// pending holds out-of-order arrivals awaiting their predecessors; it
-	// only fills when link jitter reorders the wire, stays tiny, and is
-	// scanned linearly by pseq.
-	pending []*inMsg
+// envelope is one entry of a rank's matching queues (Rank.posted,
+// Rank.unexpected): the source and tag a scan compares, stored inline, and
+// the handle of the posted Request or the unexpected inMsg it stands for.
+type envelope struct {
+	tag int
+	src int32
+	h   int32
 }
 
-// take removes and returns the pending message with sequence pseq, if any.
-func (f *pairFIFO) take(pseq int64) (*inMsg, bool) {
-	for i, m := range f.pending {
-		if m.pseq == pseq {
-			last := len(f.pending) - 1
-			f.pending[i] = f.pending[last]
-			f.pending[last] = nil
-			f.pending = f.pending[:last]
-			return m, true
-		}
-	}
-	return nil, false
-}
+// held is an arrival waiting in its receiver's reorder list for a
+// predecessor from the same source: its source, pair sequence number and
+// message handle.
+type held struct{ src, pseq, h int32 }
 
 // --- transport events --------------------------------------------------------
 
@@ -238,7 +234,7 @@ func (q *Request) Wait() Message {
 	w := q.r.w
 	var msg Message
 	if m := q.msg; m != nil {
-		msg = Message{Source: m.src, Tag: m.tag, Data: m.data, Bytes: m.bytes}
+		msg = Message{Source: int(m.src), Tag: m.tag, Data: w.st.payload(m.h), Bytes: m.bytes}
 		w.releaseMsg(m)
 	}
 	w.st.reqs.put(q.h)
@@ -279,8 +275,11 @@ func (r *Rank) isend(op string, dst, tag int, data []float64, bytes int, sync bo
 		return req
 	}
 	m := w.newInMsg()
-	m.src, m.dst, m.tag, m.data, m.bytes = r.id, dst, tag, data, bytes
+	m.src, m.dst, m.tag, m.bytes = int32(r.id), int32(dst), tag, bytes
 	m.pseq, m.sendReq = r.nextPseq(dst), req.h
+	if data != nil {
+		w.st.setData(m.h, data)
+	}
 
 	if dst == r.id {
 		// Self message: local copy.
@@ -324,7 +323,7 @@ func (w *World) retryOrFail(m *inMsg, attempt int, sentAt sim.Time, resend func(
 	if attempt >= w.fault.MaxRetries() {
 		w.K.At(sentAt, func() {
 			w.K.Fail(&FaultError{
-				Kind: FaultRetriesExhausted, Rank: m.src, Peer: m.dst,
+				Kind: FaultRetriesExhausted, Rank: int(m.src), Peer: int(m.dst),
 				Attempts: attempt + 1, AtNs: sentAt,
 			})
 		})
@@ -344,17 +343,17 @@ func (r *Rank) startEager(m *inMsg) { r.sendEager(m, 0) }
 // the buffer has been handed to the NIC).
 func (r *Rank) sendEager(m *inMsg, attempt int) {
 	w := r.w
-	link := w.linkFor(m.src, m.dst)
+	link := w.linkFor(r.id, int(m.dst))
 	start := maxTime(w.K.Now(), r.sendBusyUntil)
 	sendDone := start + w.plat.OverheadNs + link.TransferNs(m.bytes)
 	r.sendBusyUntil = sendDone
-	lat := w.noise.LatencyNs(m.src, link.LatencyNs)
+	lat := w.noise.LatencyNs(r.id, link.LatencyNs)
 	firstByteAt := start + w.plat.OverheadNs + lat
 
 	if attempt == 0 {
 		w.schedule(sendDone, opSendComplete, m, 0, 0)
 	}
-	if w.fault.Drop(m.src, m.dst, m.pseq, fault.ChannelEager, attempt) {
+	if w.fault.Drop(r.id, int(m.dst), int64(m.pseq), fault.ChannelEager, attempt) {
 		w.retryOrFail(m, attempt, sendDone, func(next int) { r.sendEager(m, next) })
 		return
 	}
@@ -372,12 +371,12 @@ func (r *Rank) startRendezvous(m *inMsg) {
 // retransmitted like an eager payload.
 func (r *Rank) sendRTS(m *inMsg, attempt int) {
 	w := r.w
-	link := w.linkFor(m.src, m.dst)
+	link := w.linkFor(r.id, int(m.dst))
 	start := maxTime(w.K.Now(), r.sendBusyUntil)
 	rtsOut := start + w.plat.OverheadNs
 	r.sendBusyUntil = rtsOut
-	lat := w.noise.LatencyNs(m.src, link.LatencyNs)
-	if w.fault.Drop(m.src, m.dst, m.pseq, fault.ChannelRTS, attempt) {
+	lat := w.noise.LatencyNs(r.id, link.LatencyNs)
+	if w.fault.Drop(r.id, int(m.dst), int64(m.pseq), fault.ChannelRTS, attempt) {
 		w.retryOrFail(m, attempt, rtsOut, func(next int) { r.sendRTS(m, next) })
 		return
 	}
@@ -391,7 +390,7 @@ func (r *Rank) sendRTS(m *inMsg, attempt int) {
 // message on the reserved return path); the bulk data transfer is subject
 // to drops and retransmission.
 func (w *World) releaseRendezvous(m *inMsg, recvReq *Request) {
-	src, dst := m.src, m.dst
+	src, dst := int(m.src), int(m.dst)
 	receiver := w.ranks[dst]
 	link := w.linkFor(dst, src)
 	// CTS: occupies the receiver's send port for the overhead only.
@@ -405,7 +404,7 @@ func (w *World) releaseRendezvous(m *inMsg, recvReq *Request) {
 // sendRendezvousData models one post-CTS bulk transfer attempt from the
 // sender port, as in the eager path.
 func (w *World) sendRendezvousData(m *inMsg, recvReq int32, attempt int) {
-	src, dst := m.src, m.dst
+	src, dst := int(m.src), int(m.dst)
 	sender := w.ranks[src]
 	dlink := w.linkFor(src, dst)
 	s := maxTime(w.K.Now(), sender.sendBusyUntil)
@@ -416,7 +415,7 @@ func (w *World) sendRendezvousData(m *inMsg, recvReq int32, attempt int) {
 	if attempt == 0 {
 		w.schedule(sendDone, opSendComplete, m, 0, 0)
 	}
-	if w.fault.Drop(src, dst, m.pseq, fault.ChannelData, attempt) {
+	if w.fault.Drop(src, dst, int64(m.pseq), fault.ChannelData, attempt) {
 		w.retryOrFail(m, attempt, sendDone, func(next int) { w.sendRendezvousData(m, recvReq, next) })
 		return
 	}
@@ -442,24 +441,26 @@ func (w *World) arriveToRequest(m *inMsg, req int32, transferNs int64) {
 }
 
 // deliverPayload runs at the instant a message (or RTS envelope) physically
-// arrives. Before matching, it runs through the per-pair FIFO so messages
-// become matchable strictly in send order (MPI non-overtaking).
+// arrives. Before matching, it runs through the per-pair sequence check so
+// messages become matchable strictly in send order (MPI non-overtaking):
+// an early arrival waits in the receiver's reorder list until its
+// predecessors from the same source have been matched.
 func (w *World) deliverPayload(m *inMsg) {
 	dst := w.ranks[m.dst]
-	fifo := dst.pairFIFO(m.src)
-	if m.pseq != fifo.next {
-		fifo.pending = append(fifo.pending, m)
+	next := dst.inNext(m.src)
+	if m.pseq != *next {
+		dst.reorder = append(dst.reorder, held{src: m.src, pseq: m.pseq, h: m.h})
 		return
 	}
 	w.matchOrQueue(m)
-	fifo.next++
-	for {
-		nm, ok := fifo.take(fifo.next)
+	*next++
+	for len(dst.reorder) > 0 {
+		h, ok := dst.takeHeld(m.src, *next)
 		if !ok {
 			break
 		}
-		w.matchOrQueue(nm)
-		fifo.next++
+		w.matchOrQueue(w.st.msgs.at(h))
+		*next++
 	}
 }
 
@@ -468,10 +469,11 @@ func (w *World) deliverPayload(m *inMsg) {
 // matching cost for the queue scan.
 func (w *World) matchOrQueue(m *inMsg) {
 	dst := w.ranks[m.dst]
-	for i, req := range dst.posted {
-		if req.src == m.src && req.tag == m.tag {
+	for i, e := range dst.posted {
+		if e.src == m.src && e.tag == m.tag {
 			w.chargeMatch(dst, i+1)
 			dst.posted = append(dst.posted[:i], dst.posted[i+1:]...)
+			req := w.st.reqs.at(e.h)
 			if m.rndv {
 				w.releaseRendezvous(m, req)
 			} else {
@@ -481,7 +483,7 @@ func (w *World) matchOrQueue(m *inMsg) {
 		}
 	}
 	w.chargeMatch(dst, len(dst.posted))
-	dst.unexpected = append(dst.unexpected, m)
+	dst.unexpected = append(dst.unexpected, envelope{tag: m.tag, src: m.src, h: m.h})
 }
 
 // chargeMatch advances the receiver's port clock by the matching cost of a
@@ -506,10 +508,11 @@ func (r *Rank) Irecv(src, tag int) *Request {
 		return req
 	}
 	// Check the unexpected queue first (FIFO per envelope).
-	for i, m := range r.unexpected {
-		if m.src == src && m.tag == tag {
+	for i, e := range r.unexpected {
+		if e.src == int32(src) && e.tag == tag {
 			w.chargeMatch(r, i+1)
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+			m := w.st.msgs.at(e.h)
 			if m.rndv {
 				w.releaseRendezvous(m, req)
 			} else {
@@ -518,7 +521,7 @@ func (r *Rank) Irecv(src, tag int) *Request {
 			return req
 		}
 	}
-	r.posted = append(r.posted, req)
+	r.posted = append(r.posted, envelope{tag: tag, src: int32(src), h: req.h})
 	return req
 }
 

@@ -49,16 +49,21 @@ type World struct {
 
 // store is the per-world storage that Release recycles across worlds.
 // Requests and inMsgs live in slabs and are named by int32 handle (events,
-// an inMsg's sendReq); a Request is freed when Wait releases it, an inMsg
-// once both its sender and its receiver are done with it (releaseMsg), so
-// each slab holds as many entries as were ever in flight at once, not one
-// per message. fifo and pseq are size*size slices carved into per-rank
-// rows on first use (Rank.pairFIFO / Rank.nextPseq).
+// an inMsg's sendReq, matching envelopes); a Request is freed when Wait
+// releases it, an inMsg once both its sender and its receiver are done
+// with it (releaseMsg), so each slab holds as many entries as were ever in
+// flight at once, not one per message. data is the side table of
+// data-mode payloads by message handle, cleared entry by entry as handles
+// are freed; a world that sends no payloads never grows it. inPseq and
+// outPseq are the int32 size*size tables of next expected and next
+// outgoing per-pair sequence numbers, carved into per-rank rows on first
+// use (Rank.inNext / Rank.nextPseq): 256 KB each at 256 ranks.
 type store struct {
-	reqs slab[Request]
-	msgs slab[inMsg]
-	fifo []pairFIFO
-	pseq []int64
+	reqs    slab[Request]
+	msgs    slab[inMsg]
+	data    [][]float64
+	inPseq  []int32
+	outPseq []int32
 }
 
 var storePool = sync.Pool{New: func() any { return new(store) }}
@@ -67,8 +72,10 @@ var storePool = sync.Pool{New: func() any { return new(store) }}
 func (s *store) reset() {
 	s.reqs.reset()
 	s.msgs.reset()
-	clear(s.fifo)
-	clear(s.pseq)
+	clear(s.data)
+	s.data = s.data[:0]
+	clear(s.inPseq)
+	clear(s.outPseq)
 }
 
 // row returns rank's size-wide row of the size*size slice *buf, sizing
@@ -131,6 +138,32 @@ func (s *slab[T]) reset() {
 	s.n = 0
 }
 
+// setData records payload d for message handle h, growing the side table
+// to cover h.
+func (s *store) setData(h int32, d []float64) {
+	if n := int(h) + 1; n > len(s.data) {
+		s.data = slices.Grow(s.data, n-len(s.data))[:n]
+	}
+	s.data[h] = d
+}
+
+// payload returns the payload recorded for message handle h, nil if none.
+func (s *store) payload(h int32) []float64 {
+	if int(h) < len(s.data) {
+		return s.data[h]
+	}
+	return nil
+}
+
+// freeMsg clears message handle h's payload, if any, and frees the
+// handle, so a recycled handle never yields a stale payload.
+func (s *store) freeMsg(h int32) {
+	if int(h) < len(s.data) {
+		s.data[h] = nil
+	}
+	s.msgs.put(h)
+}
+
 // newRequest returns a zeroed Request owned by rank r.
 func (w *World) newRequest(r *Rank) *Request {
 	h, q := w.st.reqs.get()
@@ -153,7 +186,7 @@ func (w *World) releaseMsg(m *inMsg) {
 	if m.refs--; m.refs > 0 {
 		return
 	}
-	w.st.msgs.put(m.h)
+	w.st.freeMsg(m.h)
 }
 
 // Release returns the world's storage and kernel event storage to

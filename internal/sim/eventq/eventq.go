@@ -7,25 +7,40 @@
 // past to the current time, and its sequence numbers strictly increase. A
 // push that violates it panics; the queue never misorders.
 //
-// Radix buckets. The 128-bit key (at, seq) is compared with the last
-// popped key; an item lives in the bucket numbered by the highest bit in
-// which the two differ. Pop takes the lowest non-empty bucket, makes its
-// minimum the new last key and redistributes the rest, each into a
-// strictly lower bucket, so every item moves at most 128 times and, in
-// practice, a handful. Ties at one timestamp differ only in seq and land
-// in low buckets that are popped next. Buckets hold 16-byte keys — the
-// timestamp in one word, the sequence number and the payload's slot packed
-// into the other — so a redistribution pass streams through contiguous
-// memory. The packing bounds a queue to 2^27 queued items and 2^37 - 1 as
-// the largest seq; Push panics beyond either.
+// Time buckets. Items are bucketed by their timestamp alone: an item lives
+// in the bucket numbered by the highest bit in which its at differs from
+// the last popped at, so bucket 0 holds exactly the items at the last
+// popped instant. Bucket 0 is a FIFO with a head index and a pop from it is
+// O(1). When it runs dry, Pop takes the lowest non-empty bucket, scans it
+// for its minimum at, makes that the new last popped time and
+// redistributes the bucket, each item into a strictly lower bucket (the
+// minimum's ties into bucket 0); an item moves at most 64 times and, in
+// practice, a handful.
 //
-// Slab. Payloads sit in one slice indexed by slot and recycled through a
-// LIFO free list: they are written once on push and read once on pop,
-// never moved. Pop clears the vacated slot so the GC sees no stale payload
-// pointers. The kernel's payload is a 24-byte value without pointers, so
-// its slab is allocated noscan and the GC never walks it. Buckets, slab
-// and free list keep their capacity across pops and, through Reset, across
-// kernels, so steady-state pushes and pops do not allocate.
+// Stability. Items with equal at always share a bucket: a bucket's number
+// depends only on at and the last popped at, and a redistribution changes
+// only bits below the bucket it empties, so it never separates a bucket's
+// ties from items left in higher buckets. Within a bucket, ties sit in
+// push order: pushes append in increasing seq, and a redistribution
+// appends the emptied bucket's items in order into buckets that are all
+// empty, since it empties the lowest non-empty one. So bucket 0 holds the
+// current instant's items in seq order and pops them in (at, seq) order
+// without comparing seqs at all.
+//
+// Keys and slab. Buckets hold 16-byte keys — the timestamp in one word,
+// the sequence number and the payload's slot packed into the other — so a
+// redistribution pass streams through contiguous memory. The packing
+// bounds a queue to 2^27 queued items and 2^37 - 1 as the largest seq;
+// Push panics beyond either. Payloads sit in one slice indexed by slot and
+// recycled through a LIFO free list: they are written once on push and
+// read once on pop, never moved, however often their key is redistributed.
+// Moving payloads through the buckets instead would make every
+// redistribution copy the payload too, and every bucket would retain
+// payload-sized capacity. Pop clears the vacated slot so the GC sees no
+// stale payload pointers. The kernel's payload is a 24-byte value without
+// pointers, so its slab is allocated noscan and the GC never walks it.
+// Buckets, slab and free list keep their capacity across pops and, through
+// Reset, across kernels, so steady-state pushes and pops do not allocate.
 //
 // Ordering is total and deterministic: items pop in ascending (at, seq)
 // order, so ties at the same timestamp resolve by insertion sequence —
@@ -57,7 +72,7 @@ const (
 	maxSeq   = 1<<(64-slotBits) - 1
 	slotMask = 1<<slotBits - 1
 	signBit  = 1 << 63
-	nBuckets = 129 // bucket b holds keys whose highest differing bit is b-1
+	nBuckets = 65 // bucket b > 0 holds items whose at differs from the last popped at first in bit b-1
 	// firstCap is the capacity of each bucket, the slab and the free
 	// list in a fresh queue.
 	firstCap = 4
@@ -68,14 +83,17 @@ const (
 // slot.
 type key struct{ hi, lo uint64 }
 
-func (a key) less(b key) bool { return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo }
-
 // Queue is a min-queue of items ordered by (At, Seq). The zero value is an
 // empty queue ready for use; a Queue must not be copied after first use.
 type Queue[T any] struct {
-	last     key
-	n        int
-	occupied [(nBuckets + 63) / 64]uint64 // bit b set iff buckets[b] is non-empty
+	// last is the key of the last popped item; last.hi is the time every
+	// key of buckets[0] carries.
+	last key
+	n    int
+	// head indexes the next key to pop from buckets[0]; buckets[0] is
+	// emptied, and head rewound, as soon as its last key is popped.
+	head     int
+	occupied uint64 // bit b-1 set iff buckets[b] is non-empty, for b > 0
 	buckets  [nBuckets][]key
 	slab     []T
 	free     []uint32
@@ -88,18 +106,13 @@ type Queue[T any] struct {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }
 
-// bucketOf returns the bucket of k relative to the last popped key.
-func (q *Queue[T]) bucketOf(k key) int {
-	if d := k.hi ^ q.last.hi; d != 0 {
-		return 64 + bits.Len64(d)
-	}
-	return bits.Len64(k.lo ^ q.last.lo)
-}
-
+// add appends k to its bucket relative to the last popped time.
 func (q *Queue[T]) add(k key) {
-	b := q.bucketOf(k)
+	b := bits.Len64(k.hi ^ q.last.hi)
 	q.buckets[b] = append(q.buckets[b], k)
-	q.occupied[b>>6] |= 1 << (b & 63)
+	if b > 0 {
+		q.occupied |= 1 << (b - 1)
+	}
 }
 
 // init points the buckets, slab and free list at the queue's inline first
@@ -114,25 +127,22 @@ func (q *Queue[T]) init() {
 	q.free = q.firstFree[:0]
 }
 
-// lowest returns the lowest non-empty bucket; the queue must not be empty.
+// lowest returns the lowest non-empty bucket above bucket 0; the queue
+// must hold a key outside bucket 0.
 func (q *Queue[T]) lowest() int {
-	for w, m := range q.occupied {
-		if m != 0 {
-			return w<<6 | bits.TrailingZeros64(m)
-		}
+	if q.occupied == 0 {
+		panic("eventq: empty queue")
 	}
-	panic("eventq: empty queue")
+	return bits.TrailingZeros64(q.occupied) + 1
 }
 
-// minOf returns the index of the smallest key in bk.
-func minOf(bk []key) int {
-	mi := 0
-	for j := 1; j < len(bk); j++ {
-		if bk[j].less(bk[mi]) {
-			mi = j
-		}
+// minHi returns the smallest time word in bk, which must not be empty.
+func minHi(bk []key) uint64 {
+	m := bk[0].hi
+	for _, k := range bk[1:] {
+		m = min(m, k.hi)
 	}
-	return mi
+	return m
 }
 
 // MinAt returns the At key of the minimum item without removing it; ok is
@@ -141,8 +151,10 @@ func (q *Queue[T]) MinAt() (at int64, ok bool) {
 	if q.n == 0 {
 		return 0, false
 	}
-	bk := q.buckets[q.lowest()]
-	return int64(bk[minOf(bk)].hi ^ signBit), true
+	if len(q.buckets[0]) > 0 {
+		return int64(q.last.hi ^ signBit), true
+	}
+	return int64(minHi(q.buckets[q.lowest()]) ^ signBit), true
 }
 
 // Push inserts v with key (at, seq). It panics if (at, seq) is not above
@@ -178,27 +190,38 @@ func (q *Queue[T]) Push(at int64, seq uint64, v T) {
 	q.n++
 }
 
+// refill advances the last popped time to the earliest queued time and
+// moves that time's keys into the empty bucket 0: it empties the lowest
+// non-empty bucket, whose keys all fall into strictly lower buckets
+// relative to its own minimum. The pass is a stable append, so bucket 0
+// receives the minimum's ties in push order.
+func (q *Queue[T]) refill() {
+	b := q.lowest()
+	bk := q.buckets[b]
+	q.last.hi = minHi(bk)
+	for _, k := range bk {
+		q.add(k)
+	}
+	q.buckets[b] = bk[:0]
+	q.occupied &^= 1 << (b - 1)
+}
+
 // Pop removes and returns the minimum item. It panics on an empty queue —
 // callers gate on Len, exactly as the kernel's run loop does.
 func (q *Queue[T]) Pop() Item[T] {
-	b := q.lowest()
-	bk := q.buckets[b]
-	mi := minOf(bk)
-	min := bk[mi]
-	q.last = min
-	// Every other key of bucket b shares min's bits above b-1, so relative
-	// to the new last key it falls into a strictly lower bucket.
-	for j, k := range bk {
-		if j != mi {
-			q.add(k)
-		}
+	if len(q.buckets[0]) == 0 {
+		q.refill()
 	}
-	q.buckets[b] = bk[:0]
-	q.occupied[b>>6] &^= 1 << (b & 63)
+	b0 := q.buckets[0]
+	k := b0[q.head]
+	if q.head++; q.head == len(b0) {
+		q.buckets[0], q.head = b0[:0], 0
+	}
+	q.last = k
 	q.n--
 
-	slot := uint32(min.lo & slotMask)
-	it := Item[T]{At: int64(min.hi ^ signBit), Seq: min.lo >> slotBits, V: q.slab[slot]}
+	slot := uint32(k.lo & slotMask)
+	it := Item[T]{At: int64(k.hi ^ signBit), Seq: k.lo >> slotBits, V: q.slab[slot]}
 	var zero T
 	q.slab[slot] = zero // release payload references held in the vacated slot
 	q.free = append(q.free, slot)
@@ -216,7 +239,8 @@ func (q *Queue[T]) Reset() {
 	for b := range q.buckets {
 		q.buckets[b] = q.buckets[b][:0]
 	}
-	q.occupied = [len(q.occupied)]uint64{}
+	q.occupied = 0
+	q.head = 0
 	q.last = key{}
 	q.n = 0
 }

@@ -168,6 +168,58 @@ func TestHoldWorkloadMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWideStepWorkloadMatchesReference is the hold workload with
+// timestamps that reach every bucket: steps drawn log-uniformly up to 2^40
+// ns, starting below zero so keys cross the sign bit, pairs of pushes at
+// exactly the same future time, and pushes at the popped time. It pits the
+// queue against the reference heap at a standing size that keeps the
+// current-time FIFO busy (64) and at one that forces multi-level
+// redistributions of large buckets (131072).
+func TestWideStepWorkloadMatchesReference(t *testing.T) {
+	for _, standing := range []int{64, 131072} {
+		t.Run(fmt.Sprintf("standing=%d", standing), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(standing) + 1))
+			var q Queue[int]
+			var ref refHeap
+			var seq uint64
+			push := func(at int64) {
+				seq++
+				q.Push(at, seq, int(seq))
+				heap.Push(&ref, Item[int]{At: at, Seq: seq, V: int(seq)})
+			}
+			step := func() int64 { return rng.Int63n(1 << rng.Intn(41)) }
+			for i := 0; i < standing; i++ {
+				push(-1<<39 + step())
+			}
+			ops := min(4*standing, 300000)
+			for i := 0; q.Len() > 0; i++ {
+				got, want := q.Pop(), heap.Pop(&ref).(Item[int])
+				if got != want {
+					t.Fatalf("pop %d = %+v, want %+v", i, got, want)
+				}
+				if i >= ops {
+					continue // drain
+				}
+				for n := rng.Intn(3); n > 0; n-- {
+					switch rng.Intn(4) {
+					case 0:
+						push(got.At) // at the popped time
+					case 1:
+						at := got.At + step()
+						push(at)
+						push(at) // an exact tie in a higher bucket
+					default:
+						push(got.At + step())
+					}
+				}
+			}
+			if ref.Len() != 0 {
+				t.Fatalf("reference holds %d items after the queue drained", ref.Len())
+			}
+		})
+	}
+}
+
 // mustPanic runs f and fails unless it panics with a message containing want.
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()

@@ -249,11 +249,6 @@ func (k *Kernel) Release() {
 	k.q = nil
 }
 
-// NewKernel creates an empty simulation.
-//
-// Deprecated: use New, which accepts construction-time options.
-func NewKernel() *Kernel { return New() }
-
 // Now returns the current virtual time. Valid from both kernel callbacks and
 // process coroutines (which only run while the kernel is paused).
 func (k *Kernel) Now() Time { return k.now }

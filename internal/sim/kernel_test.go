@@ -13,7 +13,7 @@ import (
 )
 
 func TestEmptyKernelRuns(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	if err := k.Run(); err != nil {
 		t.Fatalf("empty kernel: %v", err)
 	}
@@ -23,7 +23,7 @@ func TestEmptyKernelRuns(t *testing.T) {
 }
 
 func TestSingleProcSleep(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var at Time
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(1500)
@@ -38,7 +38,7 @@ func TestSingleProcSleep(t *testing.T) {
 }
 
 func TestSleepNegativeClampsToZero(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var at Time = -1
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(-5)
@@ -53,7 +53,7 @@ func TestSleepNegativeClampsToZero(t *testing.T) {
 }
 
 func TestWaitUntilPastReturnsImmediately(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	order := []string{}
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(100)
@@ -70,7 +70,7 @@ func TestWaitUntilPastReturnsImmediately(t *testing.T) {
 
 func TestEventOrderingStable(t *testing.T) {
 	// Events at the same timestamp run in insertion order.
-	k := NewKernel()
+	k := New()
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
@@ -87,7 +87,7 @@ func TestEventOrderingStable(t *testing.T) {
 }
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	times := []Time{500, 10, 300, 10, 999, 1}
 	var got []Time
 	for _, tm := range times {
@@ -106,7 +106,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestTwoProcsInterleave(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var trace []string
 	k.Spawn("a", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -135,7 +135,7 @@ func TestTwoProcsInterleave(t *testing.T) {
 }
 
 func TestCondWaitSignal(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var c Cond
 	var woke Time
 	k.Spawn("waiter", func(p *Proc) {
@@ -155,7 +155,7 @@ func TestCondWaitSignal(t *testing.T) {
 }
 
 func TestCondDoubleWaiterPanics(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var c Cond
 	c.waiter = &Proc{}
 	defer func() {
@@ -168,7 +168,7 @@ func TestCondDoubleWaiterPanics(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var c Cond
 	k.Spawn("stuck", func(p *Proc) {
 		c.Wait(p, "never-signaled")
@@ -183,7 +183,7 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestFailAbortsRun(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	sentinel := errors.New("boom")
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(10)
@@ -197,7 +197,7 @@ func TestFailAbortsRun(t *testing.T) {
 }
 
 func TestReadyOnRunningProcIsNoop(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	done := false
 	k.Spawn("p", func(p *Proc) {
 		k.Ready(p) // runnable/running: must not corrupt state
@@ -214,7 +214,7 @@ func TestReadyOnRunningProcIsNoop(t *testing.T) {
 
 func TestManyProcsDeterministic(t *testing.T) {
 	run := func() []int {
-		k := NewKernel()
+		k := New()
 		var order []int
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 64; i++ {
@@ -239,7 +239,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 }
 
 func TestSpawnFromProc(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var childAt Time
 	k.Spawn("parent", func(p *Proc) {
 		p.Sleep(100)
@@ -258,7 +258,7 @@ func TestSpawnFromProc(t *testing.T) {
 }
 
 func TestYieldDrainsSameInstant(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var sawFlag bool
 	flag := false
 	k.Spawn("setter", func(p *Proc) {
@@ -279,7 +279,7 @@ func TestYieldDrainsSameInstant(t *testing.T) {
 }
 
 func TestRunTwiceSequentially(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	k.Spawn("p", func(p *Proc) { p.Sleep(5) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestNowMonotonicProperty(t *testing.T) {
 		if len(delays) > 200 {
 			delays = delays[:200]
 		}
-		k := NewKernel()
+		k := New()
 		last := Time(-1)
 		ok := true
 		for _, d := range delays {
@@ -324,7 +324,7 @@ func TestSleepAccumulatesProperty(t *testing.T) {
 	f := func(n uint8, d uint16) bool {
 		steps := int(n%20) + 1
 		dur := Time(d)
-		k := NewKernel()
+		k := New()
 		var end Time
 		k.Spawn("p", func(p *Proc) {
 			for i := 0; i < steps; i++ {
@@ -345,7 +345,7 @@ func TestSleepAccumulatesProperty(t *testing.T) {
 func TestHeavyChurn(t *testing.T) {
 	// Stress: many procs ping-ponging through conds.
 	const n = 100
-	k := NewKernel()
+	k := New()
 	conds := make([]Cond, n)
 	var completed atomic.Int32
 	for i := 0; i < n; i++ {
@@ -381,7 +381,7 @@ func containsStr(s, sub string) bool {
 }
 
 func TestDeadlockDiagnosticNamesEveryBlockedProcess(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	var c1, c2 Cond
 	k.Spawn("alpha", func(p *Proc) { c1.Wait(p, "waiting-on-alpha-cond") })
 	k.Spawn("beta", func(p *Proc) { c2.Wait(p, "waiting-on-beta-cond") })
@@ -397,7 +397,7 @@ func TestDeadlockDiagnosticNamesEveryBlockedProcess(t *testing.T) {
 }
 
 func TestDeadlockDiagnosticFoldsLongLists(t *testing.T) {
-	k := NewKernel()
+	k := New()
 	conds := make([]Cond, 20)
 	for i := range conds {
 		c := &conds[i]

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-audit lint-sarif test race bench check chaos serve-smoke cluster-smoke modelcheck fuzz tools clean
+.PHONY: all build vet lint lint-audit lint-sarif test race bench check chaos test-patterns serve-smoke cluster-smoke modelcheck fuzz tools clean
 
 all: check
 
@@ -43,15 +43,22 @@ bench:
 check: build vet lint test race
 
 # Deterministic chaos harness for the serving layer and the feedback loop:
-# hanging/failing/slow selections, shed bursts, breaker lifecycle, reload
-# storms, drain, observe-storm backpressure, recompile-vs-reload swap races
-# and WAL crash recovery — all under the race detector, with a
-# goroutine-leak check per scenario. `build` is the shared prerequisite
-# with serve-smoke, so CI jobs never repeat ad-hoc build steps.
+# hanging/failing/slow refinements, shed bursts, breaker lifecycle, the
+# negative cache, reload storms, drain, observe-storm backpressure,
+# recompile-vs-reload swap races and WAL crash recovery — all under the
+# race detector, with a goroutine-leak check per scenario. `build` is the
+# shared prerequisite with serve-smoke, so CI jobs never repeat ad-hoc
+# build steps.
 chaos: build
-	$(GO) test -race -run 'TestChaos|TestBreaker|TestNegativeColdCaching|TestDrainStateMachine|TestFlightFollowerCancel' -count=1 -v ./internal/serve
+	$(GO) test -race -run 'TestChaos|TestBreaker|TestNegativeColdCaching|TestDrainStateMachine' -count=1 -v ./internal/serve
 	$(GO) test -race -run 'TestPipeline|TestWAL|TestOfferBackpressureAndClose' -count=1 -v ./internal/feedback
 	$(GO) test -race -count=1 -v ./internal/cluster
+
+# Fail when a -run/-bench/-fuzz pattern in this Makefile or the CI
+# workflow names no test: a renamed test must not leave its pattern
+# silently selecting nothing.
+test-patterns:
+	./scripts/check_test_patterns.sh
 
 # End-to-end serving smoke test against the tools built once by `tools`
 # (the script builds into a temp dir when run standalone).
@@ -67,7 +74,7 @@ cluster-smoke: tools
 # Analytical-model validation: Spearman rank correlation between the
 # closed-form cost model and the simulator, per collective, on the
 # reference machine. Fails below the 0.7 floor — the gate for trusting
-# -model-tier answers and -prune-topk grid builds on that platform.
+# model answers and -prune-topk grid builds on that platform.
 modelcheck:
 	$(GO) run ./cmd/modelcheck -machine SimCluster -procs 8
 

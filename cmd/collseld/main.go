@@ -1,11 +1,14 @@
 // Command collseld serves algorithm selections over HTTP from a compiled
 // decision-table artifact (see compilestore). Queries the table covers are
-// answered in sub-microsecond time; everything else falls through to a
-// live selection guarded by coalescing, a bounded worker pool with a shed
-// queue (-cold-queue), a per-request deadline (-select-timeout) and a
-// circuit breaker (-breaker-*) that serves the nearest covered cell while
-// the live path is unhealthy. Every cell computed live, refined behind a
-// model answer (-model-tier) or received from a peer is promoted into the
+// answered in sub-microsecond time. Every other query is answered at once
+// as well: from the analytical cost model, or from the nearest compiled
+// cell where the model cannot answer (an unresolvable or drifted machine,
+// more procs than the machine has). Behind a model answer a background
+// refinement simulates the cell, gated by coalescing, a bounded worker
+// pool with a shed queue (-cold-queue), a deadline (-select-timeout), a
+// circuit breaker (-breaker-*) and a negative cache (-negative-retries);
+// these gate work, never answers, and -no-cold turns refinement off.
+// Every refined cell and every exact peer answer is promoted into the
 // served table, so the next query for it is a table hit.
 //
 // Endpoints: POST/GET /select, GET /healthz, POST /reload, POST /observe,
@@ -19,12 +22,12 @@
 // tuned artifact in (written next to the WAL as autotuned.json). Without
 // the flag /observe answers 404 and the daemon behaves exactly as before.
 //
-// -peers enables replication: the replicas consistent-hash the cold-cell
+// -peers enables replication: the replicas consistent-hash the uncovered-cell
 // keyspace among themselves, forward uncovered queries to the owning
 // replica (hedging to the next one after -hedge-delay, capped by
-// -retry-budget), gossip computed cells over POST /peer/cell, and track
+// -retry-budget), gossip refined cells over POST /peer/cell, and track
 // each other's liveness with -heartbeat probes. Every failure falls back
-// to the local selection ladder — peers speed answers up, never gate them.
+// to the local miss path — peers speed answers up, never gate them.
 // Artifact saves retain the previous file as <store>.bak; startup and
 // /reload recover from it when the primary is corrupt.
 //
@@ -60,16 +63,15 @@ import (
 func main() {
 	storePath := flag.String("store", "decision_table.json", "decision-table artifact to serve")
 	addr := flag.String("addr", ":8177", "listen address")
-	coldWorkers := flag.Int("cold-workers", 2, "max concurrent live selections for uncovered queries")
-	noCold := flag.Bool("no-cold", false, "refuse uncovered queries with 404 instead of computing them")
-	coldQueue := flag.Int("cold-queue", 8, "cold requests allowed to wait for a worker; excess is shed with 429 (negative: no waiting)")
-	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "per-request deadline for cold selections, enforced down into the simulation workers (0 disables)")
-	negRetries := flag.Int("negative-retries", 2, "recompute budget for a cached cold-path failure (negative disables negative caching)")
-	modelTier := flag.Bool("model-tier", true, "answer uncovered queries instantly from the analytical cost model while a background simulation refines the cell into the table")
+	coldWorkers := flag.Int("cold-workers", 2, "max concurrent background refinements (live selections) of uncovered cells")
+	noCold := flag.Bool("no-cold", false, "never simulate: answer uncovered queries from the model or the nearest cell without refining them")
+	coldQueue := flag.Int("cold-queue", 8, "refinements allowed to wait for a worker; excess refinements are shed (negative: no waiting)")
+	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "deadline for one refinement or peer forward, enforced down into the simulation workers (0 disables)")
+	negRetries := flag.Int("negative-retries", 2, "refinement retries for a cell whose live selection failed (negative disables negative caching)")
 	observeRetryAfter := flag.Duration("observe-retry-after", time.Second, "Retry-After hint on shed /observe batches (429); tune to the observation producers' batching period")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive cold failures that trip the circuit breaker open")
+	breakerFailures := flag.Int("breaker-failures", 5, "consecutive refinement failures that trip the circuit breaker open")
 	breakerOpen := flag.Duration("breaker-open", 10*time.Second, "breaker cooldown before the half-open probe")
-	breakerSlow := flag.Duration("breaker-slowcall", 0, "cold selections slower than this count as breaker failures (0 disables)")
+	breakerSlow := flag.Duration("breaker-slowcall", 0, "live selections slower than this count as breaker failures (0 disables)")
 	drainWait := flag.Duration("drain", 10*time.Second, "grace period between SIGTERM (healthz flips to draining) and shutdown")
 	observeWAL := flag.String("observe-wal", "", "directory for the /observe write-ahead log; empty disables the feedback loop")
 	observeBuffer := flag.Int("observe-buffer", 64, "accepted-but-not-yet-logged observation batches; /observe sheds with 429 beyond this")
@@ -77,7 +79,7 @@ func main() {
 	recompileBackoff := flag.Duration("recompile-backoff", 500*time.Millisecond, "base retry delay after a failed recompilation (doubles per failure, capped)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica (including this one); empty disables clustering")
 	self := flag.String("self", "", "this replica's own base URL as it appears in -peers (required with -peers)")
-	hedgeDelay := flag.Duration("hedge-delay", 50*time.Millisecond, "wait on the owning replica before hedging a forwarded cold query to the next one")
+	hedgeDelay := flag.Duration("hedge-delay", 50*time.Millisecond, "wait on the owning replica before hedging a forwarded uncovered query to the next one")
 	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "fraction of forwarded requests allowed to hedge or retry (the anti-retry-storm cap)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "peer liveness probe interval")
 	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "per-call timeout for peer HTTP requests (forwards, probes, shares)")
@@ -117,8 +119,8 @@ func main() {
 	}
 
 	// The replication layer: a static peer ring with consistent-hash
-	// ownership of the cold-cell keyspace. Peers are an optimization — the
-	// local ladder answers whenever they cannot — so clustering is wired
+	// ownership of the uncovered-cell keyspace. Peers are an optimization —
+	// the local miss path answers whenever they cannot — so clustering is wired
 	// before serve.New but started after, and any validation error is fatal
 	// (a typo'd peer list must not silently serve standalone).
 	var clu *cluster.Cluster
@@ -154,7 +156,6 @@ func main() {
 		ColdQueue:         *coldQueue,
 		SelectTimeout:     *selectTimeout,
 		NegativeRetries:   *negRetries,
-		ModelTier:         *modelTier,
 		ObserveRetryAfter: *observeRetryAfter,
 		Breaker: serve.BreakerConfig{
 			Failures: *breakerFailures,

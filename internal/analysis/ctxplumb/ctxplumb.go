@@ -18,8 +18,8 @@
 //     context-aware variants: Select/SelectCtx, BuildMatrix/BuildMatrixCtx,
 //     RunFig4/RunFig4Ctx, ...) — call FCtx with the received context.
 //
-// Intentional detachment — e.g. a coalesced cold-path leader whose work
-// must survive the requester's cancellation — is annotated in place with
+// Intentional detachment — e.g. background work that must survive the
+// cancellation of the request that started it — is annotated in place with
 // //collsel:ctx <why>.
 package ctxplumb
 

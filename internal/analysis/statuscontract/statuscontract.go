@@ -2,9 +2,8 @@
 // HTTP status surface of the serving layer.
 //
 // DESIGN.md documents a status ladder per endpoint (200 served, 400
-// malformed, 404 uncovered-with-cold-disabled, 429 shed, 499 client
-// cancel, 500 selection failure, 503 unavailable/draining, plus the
-// endpoint-specific 202/405/409/413/422). Clients, the chaos suite and the
+// malformed, 404 nothing to answer from, 503 unavailable, plus the
+// endpoint-specific 202/405/409/413/422/429/500). Clients, the chaos suite and the
 // cluster failover logic all branch on these codes; the fuzz tests can
 // only sample the space, so an undocumented status is exactly the kind of
 // regression that ships. The analyzer checks, inside the scoped packages:
@@ -47,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 // DefaultContract is the documented status ladder, one entry per endpoint.
 // It mirrors DESIGN.md's endpoint table; changing a handler's statuses
 // means changing the contract (and the docs) in the same commit.
-const DefaultContract = "select:200,400,404,429,499,500,503;" +
+const DefaultContract = "select:200,400,404,503;" +
 	"healthz:200,503;" +
 	"reload:200,405,422;" +
 	"observe:202,400,404,405,429,500,503;" +

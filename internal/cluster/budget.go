@@ -8,7 +8,7 @@ import "sync"
 // matter how many peers are down. Without it, a dead owner would turn
 // every forward into two attempts and a partition into a retry storm —
 // failover amplifying the very overload it is supposed to absorb. Denied
-// hedges are not errors: the caller falls back to the local cold path.
+// hedges are not errors: the caller falls back to the local miss path.
 //
 // The bucket is deterministic (no clocks, no randomness): a fixed request
 // sequence yields a fixed admit/deny sequence, which is what lets the

@@ -81,7 +81,7 @@ var (
 	// through its own ladder (and share the result).
 	ErrSelfOwned = errors.New("cluster: key owned by this replica")
 	// ErrOwnerUnavailable: the owner is suspect or dead; the caller should
-	// simulate locally rather than burn a forward on a peer that is
+	// answer locally rather than burn a forward on a peer that is
 	// already failing its heartbeats.
 	ErrOwnerUnavailable = errors.New("cluster: owner suspect or dead, answer locally")
 )
@@ -216,7 +216,7 @@ type Result struct {
 // alive replica on the ring after HedgeDelay (or immediately, as a retry,
 // when the owner's attempt fails fast) — both secondary forms draw from
 // the same global budget. The first 200 wins and the loser's attempt is
-// canceled. Any terminal error means "answer locally": the caller's cold
+// canceled. Any terminal error means "answer locally": the caller's miss
 // path is the fallback of last resort and is always available.
 func (c *Cluster) Forward(ctx context.Context, key, collective string, procs, msgBytes int) (Result, error) {
 	owner := c.ring.Owner(key)

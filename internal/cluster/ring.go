@@ -5,7 +5,7 @@
 // retry/hedge budget, and peer cold-result sharing.
 //
 // The layer is an optimization, never a dependency: every routing decision
-// degrades to "simulate locally through the existing cold path" when the
+// degrades to "answer locally through the existing miss path" when the
 // owner is suspect, dead, partitioned or the budget is spent, so a failed
 // replica can slow answers down but can never turn into a client-visible
 // failure. All state transitions run on an injectable clock and every

@@ -11,7 +11,7 @@ import (
 )
 
 // ForwardedHeader marks a peer-forwarded /select: the receiving replica
-// must answer from its own ladder (table, model, local simulation) and
+// must answer from its own ladder (table, model, nearest cell) and
 // never forward again, so a misconfigured ring can produce at most one
 // extra hop, never a loop.
 const ForwardedHeader = "X-Collsel-Forwarded"

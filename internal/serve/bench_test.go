@@ -100,15 +100,15 @@ func BenchmarkServeHotDuringReload(b *testing.B) {
 	<-done
 }
 
-// BenchmarkModelSelect measures the model tier's cold-miss answer: the
-// full analytical selection (every candidate algorithm under the nine
-// arrival patterns) for a cell the table does not cover. The acceptance
-// bar is < 100µs per answer — the whole point of the middle rung is that
-// a miss costs microseconds instead of queueing behind the simulation
-// pool (compare BenchmarkColdSelectCtx).
+// BenchmarkModelSelect measures the model rung's miss answer: the full
+// analytical selection (every candidate algorithm under the nine arrival
+// patterns) for a cell the table does not cover. The acceptance bar is
+// < 100µs per answer — the whole point of the rung is that a miss costs
+// microseconds instead of waiting on a simulation (compare
+// BenchmarkColdSelectCtx).
 func BenchmarkModelSelect(b *testing.B) {
 	tb := compileTiny(b, 1)
-	s, err := New(Config{Handle: store.NewHandle(tb), ModelTier: true, ColdDisabled: true})
+	s, err := New(Config{Handle: store.NewHandle(tb), ColdDisabled: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,17 +1,12 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
 
-// errBreakerOpen is returned by the cold-path leader when the breaker
-// refuses a live selection; the handler answers with the nearest covered
-// cell (source "nearest-degraded") or 503 when the table has nothing close.
-var errBreakerOpen = errors.New("serve: circuit breaker open, live selection refused")
-
-// BreakerConfig parameterizes the cold-path circuit breaker.
+// BreakerConfig parameterizes the circuit breaker in front of the
+// refinements' live selection.
 type BreakerConfig struct {
 	// Failures is the number of consecutive failed (or slow) live
 	// selections that trips the breaker open (default 5).
@@ -20,7 +15,7 @@ type BreakerConfig struct {
 	// goes half-open and admits a single probe (default 10s).
 	OpenFor time.Duration
 	// SlowCall, when > 0, counts a successful selection slower than this as
-	// a failure: a cold path that technically succeeds but blows through
+	// a failure: a selection that technically succeeds but blows through
 	// its latency budget is just as unservable (default 0: disabled).
 	SlowCall time.Duration
 }
@@ -35,7 +30,7 @@ func (c *BreakerConfig) fill() {
 }
 
 // Breaker states. The lifecycle is the classic three-state machine:
-// closed (normal service) → open (reject, serve degraded) after Failures
+// closed (normal service) → open (refuse refinements) after Failures
 // consecutive failures → half-open (one probe) after OpenFor → closed on a
 // probe success, back to open on a probe failure.
 const (
@@ -55,7 +50,7 @@ func breakerStateName(s int) string {
 	}
 }
 
-// breaker is the circuit breaker guarding the live-selection cold path.
+// breaker is the circuit breaker guarding the live selection.
 // The clock is injectable (now) so the chaos harness can walk the
 // open→half-open transition deterministically.
 type breaker struct {
@@ -80,34 +75,44 @@ func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
 
 // allow reports whether a live selection may start. When the breaker is
 // open past its cooldown it transitions to half-open and admits exactly one
-// probe; every other open/half-open caller is refused and should serve a
-// degraded answer instead.
+// probe; every other open/half-open caller is refused and drops its
+// refinement.
 func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.OpenFor {
-			return false
-		}
+	if b.refusingLocked() {
+		return false
+	}
+	if b.state != breakerClosed {
 		b.state = breakerHalfOpen
 		b.probing = true
-		return true
-	default: // half-open
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
 	}
+	return true
+}
+
+// refusing reports, without changing any state, whether allow would
+// refuse now: the breaker is cooling down, or its probe is in flight.
+func (b *breaker) refusing() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.refusingLocked()
+}
+
+// refusingLocked is refusing for callers that hold b.mu.
+func (b *breaker) refusingLocked() bool {
+	switch b.state {
+	case breakerOpen:
+		return b.now().Sub(b.openedAt) < b.cfg.OpenFor
+	case breakerHalfOpen:
+		return b.probing
+	}
+	return false
 }
 
 // record classifies one finished live selection. d is the selection's
 // duration; err its outcome. Only genuine compute outcomes should be
-// recorded — shed requests and client cancellations say nothing about the
-// cold path's health.
+// recorded — shed refinements say nothing about the live selection's
+// health.
 func (b *breaker) record(d time.Duration, err error) {
 	failed := err != nil || (b.cfg.SlowCall > 0 && d >= b.cfg.SlowCall)
 	b.mu.Lock()

@@ -3,9 +3,9 @@ package serve
 // The deterministic chaos harness: every failure mode the overload design
 // claims to survive is injected here — hanging selections, failing
 // selections, shed bursts, breaker trips and reload storms — and the
-// harness asserts the externally visible contract: bounded latency, zero
-// torn responses, correct status codes, correct breaker transitions and no
-// leaked goroutines. Chaos is injected through the SelectFunc seam and a
+// harness asserts the externally visible contract: every query answered
+// at once, zero torn responses, correct breaker transitions, refinements
+// gated (never answers) and no leaked goroutines. Chaos is injected through the SelectFunc seam and a
 // fake clock, never through wall-clock sleeps standing in for events, so
 // the tests pass identically under -race and on slow machines.
 //
@@ -93,37 +93,38 @@ func rawSelect(url string, req SelectRequest) (code int, header http.Header, bod
 }
 
 // TestChaosHangingSelectBoundedLatency injects a SelectFunc that never
-// returns on its own — the worst cold path there is — and asserts the
-// deadline and the shed queue together keep every response bounded: a
-// burst much larger than workers+queue must fully resolve in roughly one
-// deadline (the p99 bound), every answer must be a well-formed 503
-// (deadline) or 429 (shed) carrying Retry-After, and no goroutine may
-// outlive the burst.
+// returns on its own — the worst live selection there is — and asserts
+// that no answer waits on it: a burst of distinct misses much larger than
+// workers+queue is answered at once from the model, every refinement
+// beyond the pool and the queue is shed, the admitted ones end at the
+// deadline, and no goroutine outlives the burst.
 func TestChaosHangingSelectBoundedLatency(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
-	const deadline = 150 * time.Millisecond
+	const deadline = time.Second
+	var timedOut atomic.Int64
 	s, ts := newTestServer(t, Config{
 		Handle: store.NewHandle(tb),
 		Cold: func(ctx context.Context, _ *store.Table, _ coll.Collective, _, _ int) (store.Cell, error) {
-			<-ctx.Done() // hang until the per-request deadline fires
+			<-ctx.Done() // hang until the refinement's deadline fires
+			timedOut.Add(1)
 			return store.Cell{}, ctx.Err()
 		},
 		ColdWorkers:   2,
 		ColdQueue:     4,
 		SelectTimeout: deadline,
-		// A hanging cold path trips the breaker by design; disarm it here so
-		// this test sees pure deadline/shed behavior (breaker lifecycle has
-		// its own test below).
+		// A hanging live selection trips the breaker by design; disarm it
+		// here so this test sees pure deadline/shed behavior (breaker
+		// lifecycle has its own test below).
 		Breaker: BreakerConfig{Failures: 1 << 20},
 	})
 
 	const burst = 16
 	type outcome struct {
-		code       int
-		retryAfter string
-		elapsed    time.Duration
-		err        error
+		code    int
+		source  string
+		elapsed time.Duration
+		err     error
 	}
 	outcomes := make([]outcome, burst)
 	var wg sync.WaitGroup
@@ -135,61 +136,51 @@ func TestChaosHangingSelectBoundedLatency(t *testing.T) {
 			t0 := time.Now()
 			// Distinct msg sizes below the table's range: every request is
 			// its own cold cell, no coalescing softens the burst.
-			code, hdr, body, err := rawSelect(ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: i + 2, Procs: 8})
+			code, _, body, err := rawSelect(ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: i + 2, Procs: 8})
 			o := outcome{code: code, elapsed: time.Since(t0), err: err}
 			if err == nil {
-				o.retryAfter = hdr.Get("Retry-After")
-				var parsed map[string]string
-				if jsonErr := json.Unmarshal(body, &parsed); jsonErr != nil || parsed["error"] == "" {
-					o.err = fmt.Errorf("torn error body %q: %v", body, jsonErr)
+				var resp SelectResponse
+				if jsonErr := json.Unmarshal(body, &resp); jsonErr != nil {
+					o.err = fmt.Errorf("torn body %q: %v", body, jsonErr)
 				}
+				o.source = resp.Source
 			}
 			outcomes[i] = o
 		}(i)
 	}
 	wg.Wait()
-	total := time.Since(start)
 
-	var shed, timedOut int
 	for i, o := range outcomes {
 		if o.err != nil {
 			t.Fatalf("request %d: %v", i, o.err)
 		}
-		switch o.code {
-		case http.StatusServiceUnavailable:
-			timedOut++
-		case http.StatusTooManyRequests:
-			shed++
-		default:
-			t.Fatalf("request %d: HTTP %d, want 503 or 429", i, o.code)
+		if o.code != http.StatusOK || o.source != "model" {
+			t.Fatalf("request %d: HTTP %d source %q, want 200 model", i, o.code, o.source)
 		}
-		if o.retryAfter == "" {
-			t.Fatalf("request %d: %d response without Retry-After", i, o.code)
-		}
-		// Per-request bound: deadline plus generous scheduling slack. The
-		// hanging selection itself would block forever without it.
-		if o.elapsed > deadline+2*time.Second {
-			t.Fatalf("request %d: took %v, deadline is %v", i, o.elapsed, deadline)
+		// No answer waits for a hung selection's deadline.
+		if o.elapsed >= deadline {
+			t.Fatalf("request %d: took %v, the answer must not wait on the %v refinement deadline", i, o.elapsed, deadline)
 		}
 	}
-	if shed == 0 || timedOut == 0 {
-		t.Fatalf("burst saw %d shed / %d timed out; want both behaviors", shed, timedOut)
+	// Every refinement ends by its deadline: nothing serialized behind the
+	// hung workers.
+	s.WaitBackground()
+	if total := time.Since(start); total > deadline+3*time.Second {
+		t.Fatalf("refinements took %v in total, want ~%v", total, deadline)
 	}
-	// The whole burst resolves in ~one deadline: nothing serialized behind
-	// the hung workers.
-	if total > deadline+3*time.Second {
-		t.Fatalf("burst took %v total, want ~%v", total, deadline)
+	if got, want := s.metrics.shed.Load(), int64(burst-2-4); got != want {
+		t.Fatalf("shed %d refinements, want %d (burst beyond 2 workers and 4 queue slots)", got, want)
 	}
-	if s.metrics.shed.Load() == 0 || s.metrics.deadlineExceeded.Load() == 0 {
-		t.Fatalf("metrics: shed=%d deadline=%d, want both nonzero",
-			s.metrics.shed.Load(), s.metrics.deadlineExceeded.Load())
+	if timedOut.Load() == 0 {
+		t.Fatal("no admitted refinement ran into its deadline")
 	}
 }
 
 // TestChaosSheddingBurst pins the shed contract precisely: with one worker
-// (occupied) and no wait queue, every further cold request is refused
-// immediately with a well-formed 429 + Retry-After, and the occupied
-// worker's request still completes normally afterwards.
+// (occupied by a held refinement) and no wait queue, every further
+// distinct miss is still answered at once from the model while its
+// refinement is shed and counted, and the held refinement lands
+// afterwards, untouched by the shedding.
 func TestChaosSheddingBurst(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -209,67 +200,56 @@ func TestChaosSheddingBurst(t *testing.T) {
 		ColdQueue:   -1, // no waiting at all: shed the moment the worker is busy
 	})
 
-	// Occupy the only worker.
-	firstDone := make(chan outcomePair, 1)
-	go func() {
-		code, _, body, err := rawSelect(ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 2, Procs: 8})
-		firstDone <- outcomePair{code, body, err}
-	}()
+	// Occupy the only worker with the first miss's refinement.
+	if got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 2, Procs: 8}); code != http.StatusOK || got.Source != "model" {
+		t.Fatalf("occupying miss: HTTP %d source %q, want 200 model", code, got.Source)
+	}
 	<-entered
 
-	// Every further distinct cold query must shed, well-formed.
-	for i := 0; i < 5; i++ {
-		code, hdr, body, err := rawSelect(ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 10 + i, Procs: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code != http.StatusTooManyRequests {
-			t.Fatalf("shed request %d: HTTP %d, want 429", i, code)
-		}
-		// The hint is jittered over [base, 2*base] with base = 1s.
-		if ra := hdr.Get("Retry-After"); ra != "1" && ra != "2" {
-			t.Fatalf("shed request %d: Retry-After %q, want 1 or 2 (jittered)", i, ra)
-		}
-		var parsed map[string]string
-		if err := json.Unmarshal(body, &parsed); err != nil || parsed["error"] == "" {
-			t.Fatalf("shed request %d: malformed 429 body %q: %v", i, body, err)
+	// Every further distinct miss is answered; its refinement is shed.
+	const extra = 5
+	for i := 0; i < extra; i++ {
+		got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 10 + i, Procs: 8})
+		if code != http.StatusOK || got.Source != "model" {
+			t.Fatalf("miss %d: HTTP %d source %q, want 200 model", i, code, got.Source)
 		}
 	}
-	if got := s.metrics.shed.Load(); got != 5 {
-		t.Fatalf("shed counter %d, want 5", got)
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.shed.Load() < extra && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.metrics.shed.Load(); got != extra {
+		t.Fatalf("shed counter %d, want %d", got, extra)
 	}
 
-	// Release the worker; its request completes untouched by the shedding.
+	// Release the worker; its refinement lands untouched by the shedding.
 	close(gate)
-	first := <-firstDone
-	if first.err != nil || first.code != http.StatusOK {
-		t.Fatalf("occupying request: code=%d err=%v", first.code, first.err)
+	s.WaitBackground()
+	if n := s.metrics.coldComputes.Load(); n != 1 {
+		t.Fatalf("%d live selections, want only the occupying one", n)
 	}
-	var resp SelectResponse
-	if err := json.Unmarshal(first.body, &resp); err != nil || resp.Algorithm.Name != "bruck" {
-		t.Fatalf("occupying request answer: %q (%v)", first.body, err)
+	got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 2, Procs: 8})
+	if code != http.StatusOK || got.Source != "table" || got.Algorithm.Name != "bruck" {
+		t.Fatalf("occupying cell after release: HTTP %d source %q alg %q, want the refined table cell", code, got.Source, got.Algorithm.Name)
 	}
-}
-
-type outcomePair struct {
-	code int
-	body []byte
-	err  error
 }
 
 // TestChaosBreakerLifecycle walks the full breaker state machine on a fake
-// clock: consecutive failures trip it open (requests then get the nearest
-// covered cell, marked "nearest-degraded", and /healthz reports degraded),
-// the cooldown admits exactly one half-open probe, a failed probe re-opens,
-// and a successful probe closes the breaker and restores healthy.
+// clock: consecutive refinement failures trip it open (/healthz reports
+// degraded, and every miss is still answered — from the model, or from the
+// nearest compiled cell where the model cannot answer — while no
+// refinement runs), the cooldown admits exactly one half-open probe, a
+// failed probe re-opens, and a successful probe closes the breaker,
+// restores healthy and lands its cell.
 func TestChaosBreakerLifecycle(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
 	var fail atomic.Bool
+	var calls atomic.Int64
 	fail.Store(true)
 	s, ts := newTestServer(t, Config{
 		Handle: store.NewHandle(tb),
 		Cold: func(ctx context.Context, _ *store.Table, _ coll.Collective, _, msgBytes int) (store.Cell, error) {
+			calls.Add(1)
 			if fail.Load() {
 				return store.Cell{}, fmt.Errorf("injected cold failure")
 			}
@@ -294,12 +274,22 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		}
 		return h
 	}
-
-	// Three consecutive failures (distinct cold cells) trip the breaker.
-	for i := 0; i < 3; i++ {
-		if _, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 2 + i, Procs: 8}); code != http.StatusInternalServerError {
-			t.Fatalf("failure %d: HTTP %d, want 500", i, code)
+	// miss asks for an uncovered cell, which must be answered at once,
+	// then waits for the refinement it may have started.
+	miss := func(msgBytes, procs int, source string) SelectResponse {
+		t.Helper()
+		got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msgBytes, Procs: procs})
+		if code != http.StatusOK || got.Source != source || got.Exact {
+			t.Fatalf("miss %d B %d procs: HTTP %d source %q exact %v, want 200 %s", msgBytes, procs, code, got.Source, got.Exact, source)
 		}
+		s.WaitBackground()
+		return got
+	}
+
+	// Three consecutive failed refinements (distinct cells) trip the
+	// breaker; each query is answered from the model all the same.
+	for i := 0; i < 3; i++ {
+		miss(2+i, 8, "model")
 	}
 	if st, opens := s.breaker.snapshot(); st != breakerOpen || opens != 1 {
 		t.Fatalf("after 3 failures: state=%s opens=%d", breakerStateName(st), opens)
@@ -308,47 +298,45 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		t.Fatalf("healthz while open: %+v", h)
 	}
 
-	// Open breaker: live selection refused, nearest covered cell answers.
-	got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 5, Procs: 8})
-	if code != http.StatusOK || got.Source != "nearest-degraded" {
-		t.Fatalf("degraded answer: code=%d source=%s", code, got.Source)
+	// Open breaker: misses are still answered, and no refinement runs.
+	miss(5, 8, "model")
+	got := miss(5, 2048, "nearest") // more procs than the machine: the model refuses
+	if got.AnsweredProcs != 8 || got.AnsweredMsgBytes != 512 {
+		t.Fatalf("nearest answer coordinates: %+v", got)
 	}
-	if got.AnsweredProcs != 8 || got.AnsweredMsgBytes != 512 || got.Exact {
-		t.Fatalf("degraded answer coordinates: %+v", got)
-	}
-	if s.metrics.degradedAnswers.Load() != 1 {
-		t.Fatalf("degradedAnswers %d, want 1", s.metrics.degradedAnswers.Load())
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("%d live selections, want 3: an open breaker must refuse refinements", n)
 	}
 
-	// Cooldown elapses; the half-open probe runs — and fails — so the
-	// breaker re-opens.
+	// Cooldown elapses; the next refinement is the half-open probe, and it
+	// fails, so the breaker re-opens.
 	clk.advance(11 * time.Second)
-	if _, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 6, Procs: 8}); code != http.StatusInternalServerError {
-		t.Fatalf("failed probe: HTTP %d, want 500", code)
-	}
+	miss(6, 8, "model")
 	if st, opens := s.breaker.snapshot(); st != breakerOpen || opens != 2 {
 		t.Fatalf("after failed probe: state=%s opens=%d", breakerStateName(st), opens)
 	}
 
-	// Second cooldown; the cold path has recovered, the probe succeeds and
-	// the breaker closes.
+	// Second cooldown; the live selection has recovered, the probe
+	// succeeds, the breaker closes and the probe's cell lands.
 	fail.Store(false)
 	clk.advance(11 * time.Second)
-	got, code = postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 7, Procs: 8})
-	if code != http.StatusOK || got.Source != "computed" || got.Algorithm.Name != "probe-ok" {
-		t.Fatalf("successful probe: code=%d %+v", code, got)
-	}
+	miss(7, 8, "model")
 	if st, _ := s.breaker.snapshot(); st != breakerClosed {
 		t.Fatalf("after successful probe: state=%s", breakerStateName(st))
 	}
 	if h := healthz(); h.Status != HealthHealthy || h.Breaker != "closed" {
 		t.Fatalf("healthz after recovery: %+v", h)
 	}
+	got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 7, Procs: 8})
+	if code != http.StatusOK || got.Source != "table" || got.Algorithm.Name != "probe-ok" {
+		t.Fatalf("probe cell: code=%d %+v", code, got)
+	}
 }
 
 // TestBreakerSingleProbe pins the half-open contract at the unit level:
-// while one probe is in flight every other caller is refused, and only the
-// probe's outcome moves the state machine.
+// while one probe is in flight every other caller is refused, only the
+// probe's outcome moves the state machine, and refusing agrees with allow
+// without granting the probe itself.
 func TestBreakerSingleProbe(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := newBreaker(BreakerConfig{Failures: 1, OpenFor: time.Second}, clk.now)
@@ -356,15 +344,18 @@ func TestBreakerSingleProbe(t *testing.T) {
 	if st, _ := b.snapshot(); st != breakerOpen {
 		t.Fatalf("state %s, want open", breakerStateName(st))
 	}
-	if b.allow() {
+	if !b.refusing() || b.allow() {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
 	clk.advance(2 * time.Second)
+	if b.refusing() {
+		t.Fatal("cooled-down breaker reports refusing before its probe")
+	}
 	if !b.allow() {
 		t.Fatal("cooled-down breaker refused the probe")
 	}
 	for i := 0; i < 3; i++ {
-		if b.allow() {
+		if !b.refusing() || b.allow() {
 			t.Fatal("second caller admitted while probe in flight")
 		}
 	}
@@ -372,7 +363,7 @@ func TestBreakerSingleProbe(t *testing.T) {
 	if st, _ := b.snapshot(); st != breakerClosed {
 		t.Fatalf("state after probe success: %s", breakerStateName(st))
 	}
-	if !b.allow() {
+	if b.refusing() || !b.allow() {
 		t.Fatal("closed breaker refused a call")
 	}
 }
@@ -388,10 +379,11 @@ func TestChaosSlowCallTripsBreaker(t *testing.T) {
 	}
 }
 
-// TestNegativeColdCaching pins the negative-cache contract: a failing cold
-// cell is recomputed NegativeRetries times, then its failure is served from
-// cache without occupying a worker; a retry that succeeds forgets the
-// failure and promotes the computed cell into the table.
+// TestNegativeColdCaching pins the negative-cache contract: a cell whose
+// refinement keeps failing is refined NegativeRetries more times, then its
+// remembered failure suppresses the refinement — but never the answer:
+// every query is a 200 from the model. A retry that succeeds forgets the
+// failure and promotes the refined cell into the table.
 func TestNegativeColdCaching(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -411,54 +403,51 @@ func TestNegativeColdCaching(t *testing.T) {
 		// Keep the breaker out of the way: this test is about the cache.
 		Breaker: BreakerConfig{Failures: 1 << 20},
 	})
+	miss := func(req SelectRequest) {
+		t.Helper()
+		if got, code := postSelect(t, ts.URL, req); code != http.StatusOK || got.Source != "model" {
+			t.Fatalf("miss %+v: HTTP %d source %q, want 200 model", req, code, got.Source)
+		}
+		s.WaitBackground()
+	}
 
 	req := SelectRequest{Collective: "alltoall", MsgBytes: 2, Procs: 8}
-	// First failure computes and is cached; the retry budget (2) grants two
-	// more computes; after that the cached failure answers directly.
+	// The first failure is remembered; the retry budget (2) grants two
+	// more refinements; after that the remembered failure suppresses them.
 	for i := 0; i < 3; i++ {
-		if _, code := postSelect(t, ts.URL, req); code != http.StatusInternalServerError {
-			t.Fatalf("attempt %d: HTTP %d, want 500", i, code)
-		}
+		miss(req)
 	}
 	if n := computes.Load(); n != 3 {
 		t.Fatalf("computes %d, want 3 (initial + 2 retries)", n)
 	}
 	for i := 0; i < 4; i++ {
-		if _, code := postSelect(t, ts.URL, req); code != http.StatusInternalServerError {
-			t.Fatalf("cached attempt %d: HTTP %d, want 500", i, code)
-		}
+		miss(req)
 	}
 	if n := computes.Load(); n != 3 {
-		t.Fatalf("cached failures recomputed: %d computes, want 3", n)
+		t.Fatalf("remembered failures refined again: %d computes, want 3", n)
 	}
 	if s.metrics.negativeHits.Load() != 4 {
 		t.Fatalf("negativeHits %d, want 4", s.metrics.negativeHits.Load())
 	}
 
-	// A fresh cell whose retry succeeds: the computed cell replaces the
-	// cached failure and later requests are exact table hits.
-	fail.Store(true)
+	// A fresh cell whose retry succeeds: the refined cell replaces the
+	// remembered failure and later requests are exact table hits.
 	req2 := SelectRequest{Collective: "alltoall", MsgBytes: 3, Procs: 8}
-	if _, code := postSelect(t, ts.URL, req2); code != http.StatusInternalServerError {
-		t.Fatalf("seed failure: HTTP %d, want 500", code)
-	}
+	miss(req2)
 	fail.Store(false)
+	miss(req2)
 	got, code := postSelect(t, ts.URL, req2)
-	if code != http.StatusOK || got.Source != "computed" || got.Algorithm.Name != "recovered" {
-		t.Fatalf("recovery retry: code=%d %+v", code, got)
-	}
-	got, code = postSelect(t, ts.URL, req2)
 	if code != http.StatusOK || got.Source != "table" || !got.Exact || got.Algorithm.Name != "recovered" {
 		t.Fatalf("post-recovery table hit: code=%d %+v", code, got)
 	}
 }
 
 // TestChaosReloadStormWithColdChurn hammers hot and cold queries while the
-// artifact on disk is alternated and reloaded, and computed cold cells are
-// promoted into whichever table is serving. The invariants: no torn
-// response (every 200 names one table the run can install — a base
-// artifact plus some of the promoted cells — and answers exactly as that
-// table does), no 5xx other than deliberate deadline hits, and the swap
+// artifact on disk is alternated and reloaded, and refined cold cells are
+// promoted into whichever table is serving. The invariants: every query
+// is a 200, no response is torn (each names one table the run can install
+// — a base artifact plus some of the promoted cells — and answers exactly
+// as that table or the model under its provenance does), and the swap
 // counter accounts for every install: the reloads plus the promotions.
 func TestChaosReloadStormWithColdChurn(t *testing.T) {
 	leakCheck(t)
@@ -536,37 +525,39 @@ func TestChaosReloadStormWithColdChurn(t *testing.T) {
 					report("reader %d: %v", r, err)
 					return
 				}
-				switch code {
-				case http.StatusOK:
-					var resp SelectResponse
-					if err := json.Unmarshal(body, &resp); err != nil {
-						report("reader %d: torn 200 body %q: %v", r, body, err)
-						return
-					}
-					tb, ok := installable[resp.TableVersion]
-					if !ok {
-						report("reader %d: unknown table version %q", r, resp.TableVersion)
-						return
-					}
-					want, exact := coldCell(req.MsgBytes).Winner, true
-					if resp.Source == "table" {
-						lk, ok := tb.Get(coll.Alltoall, 8, req.MsgBytes)
-						if !ok {
-							report("reader %d: table %s answered %d B, which it does not cover", r, resp.TableVersion, req.MsgBytes)
-							return
-						}
-						want, exact = lk.Cell.Winner, lk.Exact
-					}
-					if resp.Algorithm != want || resp.Exact != exact {
-						report("reader %d: torn response: version %s %s answered %+v exact=%v, want %+v exact=%v",
-							r, resp.TableVersion, resp.Source, resp.Algorithm, resp.Exact, want, exact)
-						return
-					}
-				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-					// Shed or deadline under churn: legitimate overload
-					// answers, already covered by the dedicated tests.
-				default:
+				if code != http.StatusOK {
 					report("reader %d: HTTP %d", r, code)
+					return
+				}
+				var resp SelectResponse
+				if err := json.Unmarshal(body, &resp); err != nil {
+					report("reader %d: torn 200 body %q: %v", r, body, err)
+					return
+				}
+				tb, ok := installable[resp.TableVersion]
+				if !ok {
+					report("reader %d: unknown table version %q", r, resp.TableVersion)
+					return
+				}
+				var want store.Cell
+				exact := false
+				switch resp.Source {
+				case "table":
+					lk, ok := tb.Get(coll.Alltoall, 8, req.MsgBytes)
+					if !ok {
+						report("reader %d: table %s answered %d B, which it does not cover", r, resp.TableVersion, req.MsgBytes)
+						return
+					}
+					want, exact = lk.Cell, lk.Exact
+				case "model":
+					want, _ = s.modelAnswer(tb, coll.Alltoall, 8, req.MsgBytes)
+				default:
+					report("reader %d: source %q", r, resp.Source)
+					return
+				}
+				if resp.Algorithm != want.Winner || resp.Exact != exact {
+					report("reader %d: torn response: version %s %s answered %+v exact=%v, want %+v exact=%v",
+						r, resp.TableVersion, resp.Source, resp.Algorithm, resp.Exact, want.Winner, exact)
 					return
 				}
 			}

@@ -3,7 +3,7 @@ package serve
 // Cluster chaos: the replication layer's failure modes — a killed
 // replica, a partition that heals, every peer dead at once — injected
 // against real HTTP replicas, asserting the client-visible contract:
-// zero 5xx (the local ladder always answers), hedges that actually win,
+// zero 5xx (the local miss path always answers), hedges that actually win,
 // a retry budget that holds even when every attempt fails, and no leaked
 // goroutines. Run via `make chaos` (also part of the ordinary suite).
 
@@ -19,7 +19,7 @@ import (
 // mixed load (covered + uncovered cells) through the survivors: every
 // response must stay 200, at least one hedge must win (the killed owner
 // fails fast, the budgeted retry answers), and the dead peer must be
-// marked down so later forwards short-circuit to the local ladder.
+// marked down so later forwards short-circuit to the local miss path.
 func TestChaosClusterKillReplica(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -99,8 +99,8 @@ func TestChaosClusterPartitionHeal(t *testing.T) {
 		t.Fatalf("owner state after 5 failures: %v, want dead", st)
 	}
 	resp, code := postSelect(t, reps[1].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs})
-	if code != http.StatusOK || resp.Source != "computed" {
-		t.Fatalf("partitioned select: HTTP %d source %q, want local compute", code, resp.Source)
+	if code != http.StatusOK || resp.Source != "model" {
+		t.Fatalf("partitioned select: HTTP %d source %q, want a local model answer", code, resp.Source)
 	}
 	if st := reps[1].cl.Stats(); st.OwnerUnavailable < 1 {
 		t.Fatalf("partitioned forward did not short-circuit: %+v", st)
@@ -116,7 +116,7 @@ func TestChaosClusterPartitionHeal(t *testing.T) {
 	// one routes to the healed owner.
 	for p := 9; p < 40; p++ {
 		if p == procs {
-			continue // already computed and promoted by the partitioned query
+			continue // already refined and promoted after the partitioned query
 		}
 		key := cluster.CellKey("alltoall", p, 16, tb.Factor)
 		if owner, self := reps[1].cl.Route(key); self || owner != reps[0].ts.URL {
@@ -136,7 +136,7 @@ func TestChaosClusterPartitionHeal(t *testing.T) {
 // full attempt sequence). The number of hedges launched must never
 // exceed the budget — one banked token plus one tenth of the forwards —
 // no matter how many requests fail, and every client still gets a 200
-// from the local ladder.
+// from the local miss path.
 func TestChaosHedgeBudgetCap(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -164,8 +164,8 @@ func TestChaosHedgeBudgetCap(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("query %d with all peers dead: HTTP %d — must fall back locally", p, code)
 		}
-		if resp.Source != "computed" {
-			t.Fatalf("query %d with all peers dead: source %q, want local compute", p, resp.Source)
+		if resp.Source != "model" {
+			t.Fatalf("query %d with all peers dead: source %q, want a local model answer", p, resp.Source)
 		}
 	}
 

@@ -66,8 +66,11 @@ func FuzzSelectRequest(f *testing.F) {
 	f.Add([]byte(`{"collective":"alltoall","msg_bytes":null,"procs":null}`))
 	f.Add(bytes.Repeat([]byte(`{"collective":"alltoall",`), 2048))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// Covered cells answer 200; everything else is a 400 (malformed),
-		// 404 (cold path disabled) — never a 5xx, never a panic.
+		// Well-formed queries answer 200 (table, model or nearest cell);
+		// everything else is a 400 (malformed) or a 404 (a collective the
+		// table holds no cell for, beyond the model's reach). The
+		// contract's 503 means no table is loaded, which never holds here:
+		// never a 5xx, never a panic.
 		fuzzPost(t, ts.URL+"/select", body, http.StatusOK, http.StatusBadRequest, http.StatusNotFound)
 	})
 }

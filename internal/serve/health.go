@@ -6,8 +6,8 @@ import (
 )
 
 // Health states, in degradation order. The state is derived, not stored:
-// draining wins (the operator asked the process to go away), then degraded
-// (the breaker is refusing live selections, or no table is loaded), then
+// draining wins (the operator asked the process to go away), then no
+// table, then degraded (the breaker is refusing refinements), then
 // healthy. Deriving it from the underlying facts means the machine can
 // never be left stale by a missed transition.
 const (
@@ -39,7 +39,7 @@ func (s *Server) Draining() bool { return s.drain.active() }
 
 // healthState derives the current health state and the HTTP status code
 // /healthz should answer with. healthy and degraded both return 200 — a
-// degraded server still answers every query, just not at full quality —
+// degraded server still answers every query, it just refines no misses —
 // while draining and no-table return 503 to pull the instance out of
 // rotation.
 func (s *Server) healthState() (state string, code int) {

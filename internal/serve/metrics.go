@@ -22,10 +22,9 @@ type metrics struct {
 
 	// Select-path traffic.
 	tableHits    atomic.Int64 // answered from the loaded table
-	tableMisses  atomic.Int64 // not in the table (cold path or refusal)
+	tableMisses  atomic.Int64 // not in the table (answered by the miss path)
 	coldComputes atomic.Int64 // live selections actually executed
-	coalesced    atomic.Int64 // requests that waited on an in-flight twin
-	inflightCold atomic.Int64 // cold selections currently executing
+	inflightCold atomic.Int64 // live selections currently executing
 
 	// sources counts served /select answers by response source, indexed
 	// like sourceNames; promotions counts cells installed into the table,
@@ -43,12 +42,9 @@ type metrics struct {
 	qMsgMin       atomic.Int64
 	qMsgMax       atomic.Int64
 
-	// Overload and degradation accounting.
-	shed             atomic.Int64 // cold requests refused with 429 (queue full)
-	deadlineExceeded atomic.Int64 // selections that hit the per-request deadline
-	clientCancels    atomic.Int64 // requests abandoned by the client (499)
-	negativeHits     atomic.Int64 // cold queries answered from a cached failure
-	degradedAnswers  atomic.Int64 // nearest-cell answers served with breaker open
+	// Refinements refused before they simulate.
+	shed         atomic.Int64 // shed by the admission queue (queue full)
+	negativeHits atomic.Int64 // suppressed by a remembered failure
 
 	// Observe-path (feedback ingestion) traffic.
 	observeBatches  atomic.Int64 // batches accepted into the feedback pipeline
@@ -77,7 +73,7 @@ func newMetrics() *metrics {
 
 // sourceNames is the fixed label set of collseld_select_source_total, in
 // render order. Every fillFromCell site maps to exactly one of these.
-var sourceNames = [...]string{"computed", "model", "nearest-degraded", "peer", "table"}
+var sourceNames = [...]string{"model", "nearest", "peer", "table"}
 
 func (m *metrics) countSource(source string) {
 	for i, n := range sourceNames {
@@ -158,8 +154,8 @@ type histogram struct {
 	total  atomic.Int64
 }
 
-// latencyBuckets spans table lookups (sub-microsecond) through cold
-// selections (seconds).
+// latencyBuckets spans table lookups (sub-microsecond) through peer
+// forwards (up to the select timeout).
 var latencyBuckets = [...]float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10,
 }
@@ -187,8 +183,8 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 
 // render writes the Prometheus text exposition. tableInfo supplies the
 // gauges that depend on the currently loaded table (version, age, cells,
-// swaps); serveInfo supplies the overload gauges (breaker state, cumulative
-// breaker opens, cold wait-queue depth). Both are read at scrape time so a
+// swaps); serveInfo supplies the refinement gauges (breaker state,
+// cumulative breaker opens, wait-queue depth). Both are read at scrape time so a
 // hot swap or a breaker transition is visible immediately.
 func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, ageSec float64, cells int, swaps int64), serveInfo func() (breakerState int, breakerOpens int64, queueDepth int64)) {
 	fmt.Fprintf(b, "# HELP collseld_requests_total Finished HTTP requests.\n")
@@ -212,14 +208,10 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 	e := expo{b}
 	e.counter("collseld_table_hits_total", "Select queries answered from the decision table.", m.tableHits.Load())
 	e.counter("collseld_table_misses_total", "Select queries not covered by the decision table.", m.tableMisses.Load())
-	e.counter("collseld_cold_computes_total", "Live selections executed for cold cells.", m.coldComputes.Load())
-	e.counter("collseld_coalesced_total", "Select queries coalesced onto an in-flight selection.", m.coalesced.Load())
-	e.counter("collseld_shed_total", "Cold requests shed with 429 (wait queue full).", m.shed.Load())
-	e.counter("collseld_deadline_exceeded_total", "Select requests that exceeded the selection deadline.", m.deadlineExceeded.Load())
-	e.counter("collseld_client_cancel_total", "Select requests abandoned by the client (499).", m.clientCancels.Load())
-	e.counter("collseld_negative_cache_hits_total", "Cold queries answered from a cached failure.", m.negativeHits.Load())
-	e.counter("collseld_degraded_answers_total", "Nearest-cell answers served while the circuit breaker was open.", m.degradedAnswers.Load())
-	e.counter("collseld_promotions_total", "Cells promoted into the serving table (computed, refined or from a peer).", m.promotions.Load())
+	e.counter("collseld_cold_computes_total", "Live selections executed by background refinements.", m.coldComputes.Load())
+	e.counter("collseld_shed_total", "Background refinements shed (wait queue full).", m.shed.Load())
+	e.counter("collseld_negative_cache_hits_total", "Background refinements suppressed by a remembered failure.", m.negativeHits.Load())
+	e.counter("collseld_promotions_total", "Cells promoted into the serving table (refined or from a peer).", m.promotions.Load())
 	e.counter("collseld_model_promotions_total", "Model-tier background refinements promoted into the serving table.", m.modelPromotions.Load())
 	e.counter("collseld_artifact_fallbacks_total", "Table loads recovered from the last-known-good artifact.", m.artifactFallbacks.Load())
 
@@ -229,12 +221,12 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 		fmt.Fprintf(b, "collseld_select_source_total{source=%q} %d\n", name, m.sources[i].Load())
 	}
 
-	e.gauge("collseld_inflight_cold", "Cold selections currently executing.", m.inflightCold.Load())
+	e.gauge("collseld_inflight_cold", "Live selections currently executing.", m.inflightCold.Load())
 
 	breakerState, breakerOpens, queueDepth := serveInfo()
 	e.gauge("collseld_breaker_state", "Circuit breaker state (0=closed, 1=half-open, 2=open).", int64(breakerState))
 	e.counter("collseld_breaker_opens_total", "Times the circuit breaker tripped open.", breakerOpens)
-	e.gauge("collseld_cold_queue_depth", "Cold requests waiting for a worker slot.", queueDepth)
+	e.gauge("collseld_cold_queue_depth", "Background refinements waiting for a worker slot.", queueDepth)
 
 	fmt.Fprintf(b, "# HELP collseld_select_latency_seconds Select request latency.\n")
 	fmt.Fprintf(b, "# TYPE collseld_select_latency_seconds histogram\n")

@@ -17,12 +17,12 @@ func TestMetricsRenderDeterministic(t *testing.T) {
 		code     int
 		n        int
 	}{
-		{"select", 429, 2},
+		{"select", 404, 2},
 		{"healthz", 200, 1},
 		{"select", 200, 3},
 		{"reload", 500, 1},
 		{"metrics", 200, 1},
-		{"select", 499, 1},
+		{"select", 503, 1},
 	} {
 		for i := 0; i < rc.n; i++ {
 			m.countRequest(rc.endpoint, rc.code)
@@ -49,8 +49,8 @@ func TestMetricsRenderDeterministic(t *testing.T) {
 		`collseld_requests_total{endpoint="metrics",code="200"} 1`,
 		`collseld_requests_total{endpoint="reload",code="500"} 1`,
 		`collseld_requests_total{endpoint="select",code="200"} 3`,
-		`collseld_requests_total{endpoint="select",code="429"} 2`,
-		`collseld_requests_total{endpoint="select",code="499"} 1`,
+		`collseld_requests_total{endpoint="select",code="404"} 2`,
+		`collseld_requests_total{endpoint="select",code="503"} 1`,
 	}
 	var got []string
 	for _, line := range strings.Split(first, "\n") {

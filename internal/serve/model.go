@@ -6,26 +6,23 @@ import (
 	"collsel/internal/store"
 )
 
-// The model tier is the middle rung of the answer ladder: a /select query
-// the table does not cover is answered instantly from the analytical cost
-// model (source "model", microseconds, never queued behind the simulation
-// pool) while a background refinement runs the real simulation for the
-// same cell and promotes the result into the hot table. The next query for
-// the cell is a plain table hit; the model answer was only ever a bridge.
+// The model rung answers every miss the peers leave: a /select query the
+// table does not cover is answered at once from the analytical cost model
+// (source "model", microseconds, never queued behind the simulation pool)
+// while a background refinement runs the real simulation for the same
+// cell and promotes the result into the hot table. The next query for the
+// cell is a plain table hit; the model answer was only ever a bridge.
 //
-// The refinement is a cold flight like a foreground compute — same flight
-// key, admission pool, circuit breaker and promotion (promote.go) — so
-// model-triggered background work competes for the same bounded resources
-// as foreground cold selections and can never saturate the process. When
-// the pool sheds or the breaker is open the refinement is simply dropped;
-// the client already has its model answer, and a later query retriggers
-// it.
+// The refinement is the only place the daemon simulates. Its worker pool,
+// circuit breaker and negative cache (promote.go) gate the work alone:
+// when one of them refuses, the refinement is simply dropped — the client
+// already has its model answer, and a later miss retriggers it.
 
 // modelAnswer computes the analytical-model estimate for an uncovered
 // cell under the table's provenance (machine, skew factor, seed). It
-// refuses — sending the request down the ladder — when the table's
-// machine is not a resolvable preset, has drifted from the compiled
-// fingerprint, or cannot hold the requested communicator.
+// refuses — leaving the query to the nearest compiled cell — when the
+// table's machine is not a resolvable preset, has drifted from the
+// compiled fingerprint, or cannot hold the requested communicator.
 func (s *Server) modelAnswer(t *store.Table, c coll.Collective, procs, msgBytes int) (store.Cell, bool) {
 	pl, err := t.Platform()
 	if err != nil || procs > pl.Size() {
@@ -46,23 +43,32 @@ func (s *Server) modelAnswer(t *store.Table, c coll.Collective, procs, msgBytes 
 }
 
 // refineAsync starts the background simulation that upgrades a model
-// answer, as the leader of key's flight; when a foreground compute or
-// another refinement already leads it, nothing starts. A /reload of a
+// answer. Nothing starts when simulation is disabled, while the breaker
+// refuses live selections, when the cell is already being refined (one
+// flight per cell key, so a burst of misses costs one simulation), or
+// when a remembered failure has spent its retry budget. A /reload of a
 // different artifact wins over the refinement, whose cell is dropped.
-func (s *Server) refineAsync(t *store.Table, c coll.Collective, procs, msgBytes int, key string) {
-	f, leader := s.flights.join(key)
-	if !leader {
+func (s *Server) refineAsync(t *store.Table, c coll.Collective, procs, msgBytes int) {
+	if s.cfg.ColdDisabled || s.breaker.refusing() {
+		return
+	}
+	key := cellKey(t, c, procs, msgBytes)
+	if _, busy := s.flights.LoadOrStore(key, struct{}{}); busy {
+		return
+	}
+	if s.negativeHit(key) {
+		s.metrics.negativeHits.Add(1)
+		s.flights.Delete(key)
 		return
 	}
 	s.refineWG.Add(1)
-	//collsel:goroutine one per cell flight, joined by WaitBackground; admission in compute borrows a cold worker slot
+	//collsel:goroutine one per cell flight, joined by WaitBackground; admission in refine borrows a cold worker slot
 	go func() {
 		defer s.refineWG.Done()
-		cell, landed, err := s.compute(t, c, procs, msgBytes, key)
-		if landed {
+		if s.refine(t, c, procs, msgBytes, key) {
 			s.metrics.modelPromotions.Add(1)
 		}
-		s.flights.finish(key, f, cell, err)
+		s.flights.Delete(key)
 	}()
 }
 

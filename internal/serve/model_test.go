@@ -15,7 +15,7 @@ import (
 	"collsel/internal/store"
 )
 
-// TestModelTierLadder walks the full three-tier answer ladder: a query the
+// TestModelTierLadder walks the model rung of the miss path: a query the
 // table does not cover is answered instantly from the analytical model
 // (source "model"), a background simulation refines the cell, and the
 // refined cell is promoted into the hot table — so the same query asked
@@ -24,7 +24,7 @@ import (
 func TestModelTierLadder(t *testing.T) {
 	tb := compileTiny(t, 1) // alltoall, 8 procs, sizes 512 and 8192
 	h := store.NewHandle(tb)
-	s, ts := newTestServer(t, Config{Handle: h, ModelTier: true})
+	s, ts := newTestServer(t, Config{Handle: h})
 
 	// 64 B is below the smallest compiled size: a guaranteed table miss.
 	req := SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: 8}
@@ -91,13 +91,13 @@ func TestModelTierLadder(t *testing.T) {
 	}
 }
 
-// TestModelTierColdDisabled pairs the model tier with a disabled cold
-// path: misses are still answered from the model, but nothing refines or
-// promotes — the table must stay untouched.
+// TestModelTierColdDisabled pairs the model rung with simulation turned
+// off: misses are still answered, from the model or the nearest cell, but
+// nothing simulates, refines or promotes — the table must stay untouched.
 func TestModelTierColdDisabled(t *testing.T) {
 	tb := compileTiny(t, 1)
 	h := store.NewHandle(tb)
-	s, ts := newTestServer(t, Config{Handle: h, ModelTier: true, ColdDisabled: true})
+	s, ts := newTestServer(t, Config{Handle: h, ColdDisabled: true})
 
 	resp, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: 8})
 	if code != http.StatusOK || resp.Source != "model" {
@@ -108,10 +108,49 @@ func TestModelTierColdDisabled(t *testing.T) {
 		t.Fatal("cold-disabled model tier must not promote")
 	}
 
-	// Queries the model cannot serve (procs beyond the machine) still 404.
-	_, code = postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: 2048})
-	if code != http.StatusNotFound {
-		t.Fatalf("oversized procs with cold disabled: HTTP %d, want 404", code)
+	// Queries the model cannot serve (procs beyond the machine) get the
+	// nearest compiled cell.
+	resp, code = postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: 2048})
+	if code != http.StatusOK || resp.Source != "nearest" || resp.AnsweredProcs != 8 || resp.AnsweredMsgBytes != 512 {
+		t.Fatalf("oversized procs with cold disabled: HTTP %d %+v, want 200 nearest from 8 procs 512 B", code, resp)
+	}
+	if n := s.metrics.coldComputes.Load(); n != 0 {
+		t.Fatalf("%d live selections with simulation disabled", n)
+	}
+}
+
+// TestUnrefinableMissAnswersNearest covers the misses the model cannot
+// answer and no simulation could refine: a table whose machine drifted
+// from its compiled fingerprint, and a query for more procs than the
+// machine has. Every such query, from the first, is a 200 from the
+// nearest compiled cell, and none starts a live selection.
+func TestUnrefinableMissAnswersNearest(t *testing.T) {
+	tb := compileTiny(t, 1)
+	drifted := *tb
+	drifted.PlatformFingerprint = "fp-of-an-edited-preset"
+	if err := drifted.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		table *store.Table
+		req   SelectRequest
+	}{
+		{"drifted fingerprint", &drifted, SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: 8}},
+		{"oversized procs", tb, SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: 4096}},
+	} {
+		s, ts := newTestServer(t, Config{Handle: store.NewHandle(tc.table)})
+		for i := 0; i < 8; i++ {
+			resp, code := postSelect(t, ts.URL, tc.req)
+			if code != http.StatusOK || resp.Source != "nearest" || resp.Exact ||
+				resp.AnsweredProcs != 8 || resp.AnsweredMsgBytes != 512 {
+				t.Fatalf("%s, try %d: HTTP %d %+v, want 200 nearest from 8 procs 512 B", tc.name, i, code, resp)
+			}
+		}
+		s.WaitBackground()
+		if n := s.metrics.coldComputes.Load(); n != 0 {
+			t.Fatalf("%s: %d live selections for a miss no simulation can refine", tc.name, n)
+		}
 	}
 }
 
@@ -122,7 +161,7 @@ func TestModelTierColdDisabled(t *testing.T) {
 func TestModelTierRefineDedup(t *testing.T) {
 	tb := compileTiny(t, 1)
 	h := store.NewHandle(tb)
-	s, ts := newTestServer(t, Config{Handle: h, ModelTier: true})
+	s, ts := newTestServer(t, Config{Handle: h})
 
 	done := make(chan string, 32)
 	for i := 0; i < 32; i++ {
@@ -160,7 +199,6 @@ func TestConcurrentDistinctPromotionsAllLand(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := newTestServer(t, Config{
 		Handle:      h,
-		ModelTier:   true,
 		ColdWorkers: 2,
 		ColdQueue:   16, // every refinement waits for a worker; none is shed
 		Cold: func(ctx context.Context, _ *store.Table, _ coll.Collective, _, msgBytes int) (store.Cell, error) {
@@ -206,8 +244,7 @@ func TestModelTierPromotionLosesRace(t *testing.T) {
 
 	gate := make(chan struct{})
 	s, err := New(Config{
-		Handle:    h,
-		ModelTier: true,
+		Handle: h,
 		Cold: func(ctx context.Context, base *store.Table, c coll.Collective, procs, msgBytes int) (store.Cell, error) {
 			<-gate // hold the refinement until the reload has swapped
 			return Fallback(ctx, base, c, procs, msgBytes)
@@ -219,7 +256,7 @@ func TestModelTierPromotionLosesRace(t *testing.T) {
 	if cell, ok := s.modelAnswer(tb, coll.Alltoall, 8, 64); !ok || cell.Winner.Name == "" {
 		t.Fatal("model answer unavailable")
 	}
-	s.refineAsync(tb, coll.Alltoall, 8, 64, "test|key")
+	s.refineAsync(tb, coll.Alltoall, 8, 64)
 	h.Swap(other) // a reload lands first
 	close(gate)
 	s.WaitBackground()
@@ -231,9 +268,8 @@ func TestModelTierPromotionLosesRace(t *testing.T) {
 	}
 }
 
-// TestObserveRetryAfterFlag checks the /observe-specific backpressure
-// hint: shed batches carry the configured ObserveRetryAfter, not the
-// /select RetryAfter.
+// TestObserveRetryAfterFlag checks the /observe backpressure hint: shed
+// batches carry the configured ObserveRetryAfter, jittered.
 func TestObserveRetryAfterFlag(t *testing.T) {
 	tb := compileTiny(t, 1)
 	h := store.NewHandle(tb)
@@ -243,7 +279,6 @@ func TestObserveRetryAfterFlag(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Handle:            h,
 		Feedback:          p,
-		RetryAfter:        2 * time.Second,
 		ObserveRetryAfter: 7 * time.Second,
 	})
 
@@ -269,14 +304,14 @@ func TestObserveRetryAfterFlag(t *testing.T) {
 }
 
 // TestObserveRetryAfterDefaults pins the config defaulting: an unset
-// ObserveRetryAfter inherits RetryAfter.
+// ObserveRetryAfter is 1s.
 func TestObserveRetryAfterDefaults(t *testing.T) {
-	s, err := New(Config{Handle: store.NewHandle(nil), RetryAfter: 5 * time.Second})
+	s, err := New(Config{Handle: store.NewHandle(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.ObserveRetryAfter != 5*time.Second {
-		t.Fatalf("ObserveRetryAfter defaulted to %s, want RetryAfter (5s)", s.cfg.ObserveRetryAfter)
+	if s.cfg.ObserveRetryAfter != time.Second {
+		t.Fatalf("ObserveRetryAfter defaulted to %s, want 1s", s.cfg.ObserveRetryAfter)
 	}
 }
 

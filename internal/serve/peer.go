@@ -12,13 +12,13 @@ import (
 	"collsel/internal/store"
 )
 
-// The peer rung sits between the table and the model tier: a cold query
-// whose cell is owned by another replica is forwarded there instead of
-// simulated locally, so across the cluster each cold cell is computed
+// The peer rung sits between the table and the model: a miss whose cell
+// is owned by another replica is forwarded there instead of answered and
+// refined locally, so across the cluster each uncovered cell is simulated
 // (roughly) once instead of once per replica. Peers are strictly an
 // optimization — every forward failure, unhealthy owner or exhausted
-// hedge budget falls through to the local ladder, which can always
-// answer. The inverse direction is /peer/cell: a replica that simulated a
+// hedge budget falls through to the local miss path, which always
+// answers. The inverse direction is /peer/cell: a replica that simulated a
 // cell gossips it to the others, who promote it into their serving tables
 // so the next query is a plain table hit.
 
@@ -136,7 +136,7 @@ func (s *Server) handlePeerCell(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// shareCold gossips one locally computed cell to the other replicas, so
+// shareCold gossips one locally refined cell to the other replicas, so
 // their next query for it is a table hit instead of a simulation. Fire
 // and forget through the cluster's bounded share queue.
 func (s *Server) shareCold(t *store.Table, c coll.Collective, procs int, cell store.Cell) {
@@ -157,11 +157,11 @@ func (s *Server) shareCold(t *store.Table, c coll.Collective, procs int, cell st
 	s.cfg.Cluster.ShareAsync(b)
 }
 
-// peerAnswer is the peer rung of the answer ladder: if the queried cell
+// peerAnswer is the peer rung of the miss path: if the queried cell
 // is owned by another replica (and this request was not itself
 // forwarded), forward it there — hedged and budgeted by the cluster layer
 // — and serve the winner's answer as source "peer". Returns false
-// whenever the local ladder should continue: self-owned key, unhealthy
+// whenever the local miss path should continue: self-owned key, unhealthy
 // owner, exhausted budget, transport failure, or an unusable peer
 // response. The caller loses nothing by the attempt but latency, and the
 // hedge delay bounds even that.
@@ -206,9 +206,10 @@ func (s *Server) peerAnswer(r *http.Request, t *store.Table, c coll.Collective, 
 	if pr.TableVersion != "" {
 		resp.TableVersion = pr.TableVersion
 	}
-	// An exact, non-degraded peer answer is as good as a local compute:
-	// promote it so repeats are table hits instead of forwards.
-	if pr.Exact && pr.Source != "nearest-degraded" && pr.Source != "model" {
+	// An exact peer answer is the compiled or refined cell itself: promote
+	// it so repeats are table hits instead of forwards. Estimates and
+	// nearest cells are never exact, so they stay out of the table.
+	if pr.Exact {
 		s.promote(t, c, req.Procs, cell)
 	}
 	s.metrics.countSource("peer")

@@ -148,8 +148,10 @@ func stubCold(tb *store.Table) SelectFunc {
 }
 
 // TestPeerForwardAnswers walks the peer rung end to end: a cold query
-// whose cell another replica owns is forwarded there, answered with
-// source "peer" naming the owner, and promoted into the local table so
+// whose cell another replica owns is forwarded there and answered with
+// source "peer" naming the owner. The owner's first answer is a model
+// estimate, which the querying replica does not promote; once the owner's
+// refinement lands, its exact answer is promoted into the local table, so
 // the repeat query is a table hit and is not forwarded again.
 func TestPeerForwardAnswers(t *testing.T) {
 	tb := compileTiny(t, 1)
@@ -157,43 +159,79 @@ func TestPeerForwardAnswers(t *testing.T) {
 		cfg.Cold = stubCold(tb)
 	}, nil)
 	procs, msg := uncoveredOwnedBy(t, reps, 0)
+	req := SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs}
 
 	// Query a NON-owner: the answer must come from the owner, relabeled.
-	resp, code := postSelect(t, reps[1].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs})
+	resp, code := postSelect(t, reps[1].ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("forwarded select: HTTP %d", code)
 	}
-	if resp.Source != "peer" || resp.Peer != reps[0].ts.URL {
-		t.Fatalf("forwarded select: source %q peer %q, want peer answer from %s", resp.Source, resp.Peer, reps[0].ts.URL)
+	if resp.Source != "peer" || resp.Peer != reps[0].ts.URL || resp.Exact {
+		t.Fatalf("forwarded select: source %q peer %q exact %v, want the owner's estimate via %s", resp.Source, resp.Peer, resp.Exact, reps[0].ts.URL)
 	}
-	if resp.Algorithm.Name != "pairwise" {
-		t.Fatalf("forwarded select returned %q", resp.Algorithm.Name)
+	if _, ok := reps[1].s.TableSnapshot().Get(coll.Alltoall, procs, msg); ok {
+		t.Fatal("a forwarded model estimate was promoted into the local table")
 	}
 	st := reps[1].cl.Stats()
 	if st.Forwards != 1 || st.Hedges != 0 {
 		t.Fatalf("stats after one clean forward: %+v", st)
 	}
 
-	// The owner computed it locally (the forwarded request must not bounce).
+	// The owner answered itself (the forwarded request must not bounce)
+	// and refines the cell into its own table.
 	if got := reps[0].cl.Stats().Forwards; got != 0 {
 		t.Fatalf("owner forwarded a forwarded request: %d forwards", got)
 	}
+	reps[0].s.WaitBackground()
 
-	// Repeat on the same non-owner: an exact hit on its own table now.
-	resp, code = postSelect(t, reps[1].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs})
+	// Ask the non-owner again: the owner now answers from its table, and
+	// that exact answer is promoted locally.
+	resp, code = postSelect(t, reps[1].ts.URL, req)
+	if code != http.StatusOK || resp.Source != "peer" || !resp.Exact || resp.Algorithm.Name != "pairwise" {
+		t.Fatalf("forward after the owner's refinement: HTTP %d source %q exact %v alg %q, want the exact refined cell",
+			code, resp.Source, resp.Exact, resp.Algorithm.Name)
+	}
+	resp, code = postSelect(t, reps[1].ts.URL, req)
 	if code != http.StatusOK || resp.Source != "table" || !resp.Exact || resp.Algorithm.Name != "pairwise" {
 		t.Fatalf("repeat after forward: HTTP %d source %q exact %v alg %q, want exact table hit on pairwise",
 			code, resp.Source, resp.Exact, resp.Algorithm.Name)
 	}
-	if got := reps[1].cl.Stats().Forwards; got != 1 {
-		t.Fatalf("repeat after forward left the process: %d forwards, want 1", got)
+	if got := reps[1].cl.Stats().Forwards; got != 2 {
+		t.Fatalf("repeat after forward left the process: %d forwards, want 2", got)
 	}
 
 	// Query the OWNER: self-owned keys never forward.
-	resp, code = postSelect(t, reps[0].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs})
+	resp, code = postSelect(t, reps[0].ts.URL, req)
 	if code != http.StatusOK || resp.Source == "peer" {
 		t.Fatalf("self-owned select: HTTP %d source %q", code, resp.Source)
 	}
+}
+
+// TestPeerEstimatesNotPromoted pins what a forwarding replica promotes:
+// only exact peer answers. A forwarded nearest cell (the owner's model
+// refused: more procs than the machine has) comes back with the
+// coordinates that answered it and stays out of the local table, as a
+// forwarded model estimate does (TestPeerForwardAnswers).
+func TestPeerEstimatesNotPromoted(t *testing.T) {
+	reps := newServeCluster(t, 2, false, func(i int, cfg *Config) {
+		cfg.ColdDisabled = true
+	}, nil)
+	tb := reps[0].s.TableSnapshot()
+	for p := 2048; p < 2048+64; p++ {
+		key := cluster.CellKey("alltoall", p, 64, tb.Factor)
+		if owner, _ := reps[1].cl.Route(key); owner != reps[0].ts.URL {
+			continue
+		}
+		resp, code := postSelect(t, reps[1].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 64, Procs: p})
+		if code != http.StatusOK || resp.Source != "peer" || resp.Exact || resp.AnsweredProcs != 8 || resp.AnsweredMsgBytes != 512 {
+			t.Fatalf("forwarded nearest cell: HTTP %d %+v, want a peer answer from 8 procs 512 B", code, resp)
+		}
+		if got := reps[1].s.TableSnapshot(); got.Version != tb.Version {
+			t.Fatalf("a forwarded nearest cell was promoted: table %s, want %s", got.Version, tb.Version)
+		}
+		return
+	}
+	t.Fatal("no oversized cell owned by replica 0")
 }
 
 // TestPeerCellEndpoint pins the /peer/cell contract: validation failures
@@ -318,7 +356,7 @@ func TestPeerCellDisabled(t *testing.T) {
 }
 
 // TestPeerShareGossip starts the share loops and checks the forward
-// direction of gossip: a cell computed on one replica appears in every
+// direction of gossip: a cell refined on one replica appears in every
 // other replica's serving table without any of them simulating it.
 func TestPeerShareGossip(t *testing.T) {
 	tb := compileTiny(t, 1)
@@ -327,9 +365,10 @@ func TestPeerShareGossip(t *testing.T) {
 	}, nil)
 	procs, msg := uncoveredOwnedBy(t, reps, 0)
 
-	// Ask the owner directly: it computes locally and gossips the result.
-	if resp, code := postSelect(t, reps[0].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs}); code != http.StatusOK || resp.Source != "computed" {
-		t.Fatalf("owner compute: HTTP %d source %q", code, resp.Source)
+	// Ask the owner directly: it answers from the model, refines the cell
+	// locally and gossips the result.
+	if resp, code := postSelect(t, reps[0].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs}); code != http.StatusOK || resp.Source != "model" {
+		t.Fatalf("owner miss: HTTP %d source %q, want a model answer", code, resp.Source)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for _, r := range reps[1:] {

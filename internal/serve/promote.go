@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,12 +10,12 @@ import (
 	"collsel/internal/store"
 )
 
-// A foreground cold compute, a model-tier refinement, an exact forwarded
-// peer answer and a /peer/cell payload all end in promote, which installs
-// the cell into the current table inside store.Handle.Update. A cold flight
-// promotes its cell before it releases its key, so nothing recomputes it.
+// A refinement, an exact forwarded peer answer and a /peer/cell payload
+// all end in promote, which installs the cell into the current table
+// inside store.Handle.Update. A refinement promotes its cell before it
+// releases its flight key, so nothing recomputes it.
 
-// maxNegative bounds the remembered cold failures.
+// maxNegative bounds the remembered refinement failures.
 const maxNegative = 4096
 
 // cellKey names one cell under one selection provenance: the flight key
@@ -24,30 +25,23 @@ func cellKey(t *store.Table, c coll.Collective, procs, msgBytes int) string {
 	return fmt.Sprintf("%s|%s|%d|%d", store.ProvenanceKey(t), c, procs, msgBytes)
 }
 
-// negEntry is a remembered cold failure and its remaining recompute budget.
-type negEntry struct {
-	errMsg  string
-	retries int
-}
-
-// negativeHit reports whether key's remembered failure is to be served as
-// is. A failure with retries left burns one and reports false, letting the
-// caller recompute.
-func (s *Server) negativeHit(key string) (string, bool) {
+// negativeHit reports whether key's remembered failure suppresses a
+// refinement. A failure with retries left burns one and reports false,
+// letting the caller refine again.
+func (s *Server) negativeHit(key string) bool {
 	s.negMu.Lock()
 	defer s.negMu.Unlock()
-	e, ok := s.negative[key]
-	if ok && e.retries > 0 {
-		e.retries--
-		s.negative[key] = e
-		return "", false
+	retries, ok := s.negative[key]
+	if ok && retries > 0 {
+		s.negative[key] = retries - 1
+		return false
 	}
-	return e.errMsg, ok
+	return ok
 }
 
 // rememberFailure records a failure that says something durable about the
-// cell (model drift, oversized procs), so that it does not re-occupy a
-// worker on every repeat request. A full map drops an arbitrary entry.
+// cell, so that it does not re-occupy a worker on every repeat miss. A
+// full map drops an arbitrary entry.
 func (s *Server) rememberFailure(key string, err error) {
 	if s.cfg.NegativeRetries < 0 || isTransient(err) {
 		return
@@ -63,18 +57,20 @@ func (s *Server) rememberFailure(key string, err error) {
 		}
 		delete(s.negative, k)
 	}
-	s.negative[key] = negEntry{errMsg: err.Error(), retries: s.cfg.NegativeRetries}
+	s.negative[key] = s.cfg.NegativeRetries
 }
 
-// compute is the body of a cold flight: the cold selection for one cell
+// refine is the body of a refinement: the live selection for one cell
 // under t's provenance, on a context detached from any request, then its
-// promotion (landed: this call changed the table). A cell the current
-// table already holds under that provenance is returned as is, so a query
-// that missed on an older snapshot does not recompute a landed cell.
-func (s *Server) compute(t *store.Table, c coll.Collective, procs, msgBytes int, key string) (cell store.Cell, landed bool, err error) {
+// promotion. It reports whether the promotion changed the table. A cell
+// the current table already holds under that provenance is not
+// recomputed, so a miss on an older snapshot does not redo a landed cell.
+// A refinement the admission queue sheds or the breaker refuses
+// simulates nothing.
+func (s *Server) refine(t *store.Table, c coll.Collective, procs, msgBytes int, key string) (landed bool) {
 	cur := s.handle.Table() // never nil again once t was installed
 	if lk, ok := cur.Get(c, procs, msgBytes); ok && lk.Exact && store.ProvenanceKey(cur) == store.ProvenanceKey(t) {
-		return lk.Cell, false, nil
+		return false
 	}
 	ctx := context.Background()
 	if s.cfg.SelectTimeout > 0 {
@@ -84,32 +80,36 @@ func (s *Server) compute(t *store.Table, c coll.Collective, procs, msgBytes int,
 	}
 	release, err := s.cold.acquire(ctx)
 	if err != nil {
-		return store.Cell{}, false, err
+		if errors.Is(err, errShed) {
+			s.metrics.shed.Add(1)
+		}
+		return false
 	}
 	defer release()
 	// The breaker check sits after admission so an admitted probe is
 	// guaranteed to run and be recorded — a probe refused by a full queue
 	// would otherwise wedge the breaker in half-open.
 	if !s.breaker.allow() {
-		return store.Cell{}, false, errBreakerOpen
+		return false
 	}
 	s.metrics.inflightCold.Add(1)
 	defer s.metrics.inflightCold.Add(-1)
 	s.metrics.coldComputes.Add(1)
-	s.logf("cold select: %s %d procs %d B (table %s)", c, procs, msgBytes, t.Version)
+	s.logf("refine: %s %d procs %d B (table %s)", c, procs, msgBytes, t.Version)
 	began := time.Now()
-	cell, err = s.cfg.Cold(ctx, t, c, procs, msgBytes)
+	cell, err := s.cfg.Cold(ctx, t, c, procs, msgBytes)
 	s.breaker.record(time.Since(began), err)
 	if err != nil {
 		s.rememberFailure(key, err)
-		return store.Cell{}, false, err
+		s.logf("refine %s %d procs %d B failed: %v", c, procs, msgBytes, err)
+		return false
 	}
 	s.negMu.Lock()
 	delete(s.negative, key)
 	s.negMu.Unlock()
 	landed = s.promote(t, c, procs, cell) == promoted
 	s.shareCold(t, c, procs, cell)
-	return cell, landed, nil
+	return landed
 }
 
 // promotion is what promote did with a cell.

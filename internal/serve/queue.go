@@ -6,17 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// errShed is returned by admission.acquire when the cold path's wait queue
-// is full: the request is refused immediately (HTTP 429 + Retry-After)
-// instead of queueing unboundedly behind a saturated worker pool.
-var errShed = errors.New("serve: cold path overloaded, request shed")
+// errShed is returned by admission.acquire when the wait queue is full:
+// the refinement is dropped at once instead of queueing unboundedly
+// behind a saturated worker pool.
+var errShed = errors.New("serve: refinement queue full, refinement shed")
 
-// admission is the cold path's admission controller: a worker-pool
+// admission is the refinements' admission controller: a worker-pool
 // semaphore fronted by a bounded wait queue. Up to cap(sem) selections run
 // concurrently; up to maxWait more may block waiting for a slot; everyone
-// beyond that is shed. Bounding the queue keeps worst-case latency at
-// (queue length + 1) x selection time and the daemon's memory flat under
-// any burst.
+// beyond that is shed. Bounding the queue keeps the refinement backlog and
+// the daemon's memory flat under any burst of misses.
 type admission struct {
 	sem     chan struct{}
 	waiting atomic.Int64

@@ -5,11 +5,15 @@
 // The hot path is a lock-free table lookup — an atomic snapshot read plus
 // two binary searches — so a loaded server answers in sub-microsecond time
 // and /reload can hot-swap the table underneath live traffic without a
-// failed or torn response. Queries the table does not cover fall through to
-// a live selection (the full pattern x algorithm simulation grid), guarded
-// by singleflight coalescing and a bounded worker pool, so a thundering
-// herd on one cold cell costs one simulation. The table is the only cache
-// of computed cells: every cell is promoted into it (promote.go).
+// failed or torn response. A query the table does not cover takes one
+// miss path and is answered at once: by the owning peer replica
+// (peer.go), else by the analytical model (model.go), else by the nearest
+// compiled cell; only a collective the table holds no cell for is a 404.
+// No request waits on a simulation. The live selection runs only as the
+// background refinement behind a model answer, coalesced per cell and
+// gated by a bounded worker pool, a circuit breaker and a negative cache;
+// they gate the work, never the answer. Every refined cell is promoted
+// into the table (promote.go), the only cache of computed cells.
 package serve
 
 import (
@@ -30,15 +34,16 @@ import (
 	"collsel/internal/store"
 )
 
-// SelectFunc computes a cold cell: the provenance-matched live selection
-// for a grid point the table does not cover.
+// SelectFunc computes a cell for a background refinement: the
+// provenance-matched live selection for a grid point the table does not
+// cover.
 type SelectFunc func(ctx context.Context, t *store.Table, c coll.Collective, procs, msgBytes int) (store.Cell, error)
 
-// Fallback is the default cold path: it resolves the table's machine model
-// from the preset registry, refuses to compute if the model has drifted
-// from the table's platform fingerprint (the answers would be silently
-// wrong for the artifact's provenance), and otherwise runs the same
-// selection the compiler ran — bit-identical to a compiled cell.
+// Fallback is the default refinement selection: it resolves the table's
+// machine model from the preset registry, refuses to compute if the model
+// has drifted from the table's platform fingerprint (the answers would be
+// silently wrong for the artifact's provenance), and otherwise runs the
+// same selection the compiler ran — bit-identical to a compiled cell.
 func Fallback(ctx context.Context, t *store.Table, c coll.Collective, procs, msgBytes int) (store.Cell, error) {
 	pl, err := t.Platform()
 	if err != nil {
@@ -60,55 +65,54 @@ type Config struct {
 	Handle *store.Handle
 	// StorePath is the artifact /reload re-reads; empty disables /reload.
 	StorePath string
-	// Cold is the cold-path selection (default: Fallback). Set ColdDisabled
-	// to refuse uncovered queries with 404 instead.
+	// Cold is the live selection a background refinement runs for a cell
+	// the model answered (default: Fallback). ColdDisabled turns simulation
+	// off: misses are still answered by the model or the nearest cell, and
+	// nothing is refined.
 	Cold         SelectFunc
 	ColdDisabled bool
-	// ColdWorkers bounds concurrent cold selections (default 2): each one
-	// is a full simulation grid, so an unbounded pool would let a burst of
-	// distinct cold cells saturate the process.
+	// ColdWorkers bounds concurrent refinements (default 2): each one is a
+	// full simulation grid, so an unbounded pool would let a burst of
+	// distinct misses saturate the process.
 	ColdWorkers int
-	// ColdQueue bounds how many cold requests may wait for a worker slot
-	// beyond the ColdWorkers already computing; excess load is shed with
-	// 429 + Retry-After. Default 8; negative means no waiting at all (shed
-	// the moment every worker is busy).
+	// ColdQueue bounds how many refinements may wait for a worker slot
+	// beyond the ColdWorkers already computing; an excess refinement is
+	// shed (dropped and counted — its query already has an answer, and a
+	// later miss retriggers it). Default 8; negative means no waiting at
+	// all (shed the moment every worker is busy).
 	ColdQueue int
-	// SelectTimeout is the per-request deadline for the cold path: it
-	// bounds queue wait + live selection, and is plumbed as a context all
-	// the way into the simulation workers, which poll it cooperatively — a
+	// SelectTimeout bounds one refinement (queue wait + live selection) and
+	// one peer forward. The deadline is plumbed as a context all the way
+	// into the simulation workers, which poll it cooperatively — a
 	// timed-out selection stops burning CPU. 0 disables deadlines.
 	SelectTimeout time.Duration
-	// NegativeRetries is the recompute budget of a remembered cold-path
-	// failure: the first NegativeRetries repeat requests for a failing cell
-	// recompute it; after that the failure is served without touching the
-	// worker pool. At most maxNegative failures are remembered. Default 2;
-	// negative disables negative caching entirely.
+	// NegativeRetries is the retry budget of a remembered refinement
+	// failure: the first NegativeRetries misses of a failing cell refine it
+	// again; after that the cell is not refined, though its queries are
+	// still answered. At most maxNegative failures are remembered. Default
+	// 2; negative disables negative caching entirely.
 	NegativeRetries int
-	// Breaker parameterizes the circuit breaker on the live-selection path;
-	// the zero value uses the defaults (5 consecutive failures trip it open
-	// for 10s, then one half-open probe).
+	// Breaker parameterizes the circuit breaker in front of the live
+	// selection; the zero value uses the defaults (5 consecutive failures
+	// trip it open for 10s, then one half-open probe). An open breaker
+	// refuses refinements; it never changes an answer.
 	Breaker BreakerConfig
-	// RetryAfter is the hint stamped on 429/503 responses (default 1s).
-	RetryAfter time.Duration
-	// ObserveRetryAfter is the Retry-After hint stamped specifically on
-	// /observe 429 responses (default: RetryAfter). Observation producers
-	// batch and tolerate long delays, so operators typically set this much
-	// higher than the /select hint to spread re-offered batches out.
+	// ObserveRetryAfter is the Retry-After hint stamped on /observe 429
+	// responses (default 1s). Observation producers batch and tolerate long
+	// delays, so operators typically set it to their batching period.
 	ObserveRetryAfter time.Duration
-	// ModelTier enables the analytical-model middle rung of the answer
-	// ladder: uncovered queries are answered instantly from the closed-form
-	// cost model (source "model") while a background simulation refines the
-	// cell and promotes it into the hot table. Disabled by default — the
-	// model must have been validated for the table's machine
-	// (cmd/modelcheck) before its estimates are trusted in production.
+	// ModelTier is ignored: the model rung is always on.
+	//
+	// Deprecated: it remains only because the perfbench module sets it, and
+	// goes with the next change to perfbench.
 	ModelTier bool
 	// Feedback, when non-nil, enables the /observe endpoint and the
 	// closed-loop autotuner behind it; nil serves 404 on /observe. The
 	// pipeline's lifecycle (Start/Close) belongs to the caller.
 	Feedback *feedback.Pipeline
 	// Cluster, when non-nil, enables the replication layer: the peer rung
-	// of the answer ladder (cold queries owned by another replica are
-	// forwarded there, hedged and budgeted), the /peer/cell gossip
+	// of the miss path (misses owned by another replica are forwarded
+	// there, hedged and budgeted), the /peer/cell gossip
 	// endpoint, and cluster state in /healthz and /metrics. The cluster's
 	// lifecycle (Start/Close) belongs to the caller.
 	Cluster *cluster.Cluster
@@ -117,7 +121,7 @@ type Config struct {
 	// 2*base] instead of synchronizing them into a retry wave. Default 1;
 	// replicas should derive distinct seeds (collseld hashes -self).
 	RetryJitterSeed int64
-	// Logf, when non-nil, receives one line per reload and cold compute.
+	// Logf, when non-nil, receives one line per reload and refinement.
 	Logf func(format string, args ...any)
 }
 
@@ -126,21 +130,21 @@ type Server struct {
 	cfg      Config
 	handle   *store.Handle
 	metrics  *metrics
-	flights  *flightGroup
 	feedback *feedback.Pipeline
-	// cold is the cold path's admission controller: worker pool + bounded
-	// wait queue; breaker is the circuit breaker in front of it; drain is
-	// the SIGTERM latch. Together they form the degradation ladder: table
-	// hit → coalesced live selection → nearest-degraded → shed.
+	// cold is the refinements' admission controller (worker pool + bounded
+	// wait queue), breaker the circuit breaker in front of the live
+	// selection, and drain the SIGTERM latch.
 	cold    *admission
 	breaker *breaker
 	drain   drainFlag
-	// jitter spreads Retry-After hints so shed clients don't re-offer in
-	// lockstep.
+	// jitter spreads /observe Retry-After hints so shed producers don't
+	// re-offer in lockstep.
 	jitter *retryJitter
-	// negative remembers cold failures by cell key (promote.go).
+	// flights holds the cell keys with a refinement in the air (model.go).
+	flights sync.Map
+	// negative remembers refinement failures by cell key (promote.go).
 	negMu    sync.Mutex
-	negative map[string]negEntry
+	negative map[string]int
 	// refineWG lets WaitBackground join the background refinements.
 	refineWG sync.WaitGroup
 	started  time.Time
@@ -167,11 +171,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.NegativeRetries == 0 {
 		cfg.NegativeRetries = 2
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.ObserveRetryAfter <= 0 {
-		cfg.ObserveRetryAfter = cfg.RetryAfter
+		cfg.ObserveRetryAfter = time.Second
 	}
 	if cfg.RetryJitterSeed == 0 {
 		cfg.RetryJitterSeed = 1
@@ -180,12 +181,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		handle:   cfg.Handle,
 		metrics:  newMetrics(),
-		flights:  newFlightGroup(),
 		feedback: cfg.Feedback,
 		cold:     newAdmission(cfg.ColdWorkers, int64(cfg.ColdQueue)),
 		breaker:  newBreaker(cfg.Breaker, nil),
 		jitter:   newRetryJitter(cfg.RetryJitterSeed),
-		negative: map[string]negEntry{},
+		negative: map[string]int{},
 		started:  time.Now(),
 	}
 	return s, nil
@@ -234,20 +234,19 @@ type SelectResponse struct {
 	Degraded     bool          `json:"degraded,omitempty"`
 	Excluded     []string      `json:"excluded,omitempty"`
 	// Source tells where the answer came from: "table", "peer" (forwarded
-	// to the owning replica), "model", "computed" or
-	// "nearest-degraded" (circuit breaker open; the answer is
-	// the closest covered cell, with AnsweredProcs/AnsweredMsgBytes holding
-	// the compiled coordinates it was actually built for). Exact is false
-	// when the answer came from a bin or a nearby cell rather than the exact
+	// to the owning replica), "model" (the analytical model's estimate,
+	// refined in the background) or "nearest" (the closest compiled cell,
+	// when the model cannot answer). Exact is false when the answer came
+	// from a bin, an estimate or a nearby cell rather than the exact
 	// compiled size.
 	Source string `json:"source"`
 	Exact  bool   `json:"exact"`
-	// AnsweredProcs and AnsweredMsgBytes are set only on nearest-degraded
-	// answers: the grid point that actually answered.
+	// AnsweredProcs and AnsweredMsgBytes are set only on nearest answers
+	// (also when a peer relays one): the grid point that actually answered.
 	AnsweredProcs    int `json:"answered_procs,omitempty"`
 	AnsweredMsgBytes int `json:"answered_msg_bytes,omitempty"`
 	// TableVersion is the version of the table that answered (also set for
-	// cold answers: they are computed under that table's provenance).
+	// model answers: they are estimated under that table's provenance).
 	TableVersion string `json:"table_version"`
 	// Peer is set on source "peer" answers: the replica that actually
 	// answered the forwarded query.
@@ -309,8 +308,8 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, "select", http.StatusBadRequest, "unknown collective %q", req.Collective)
 		return
 	}
-	// One snapshot per request: every answer — table hit or cold compute —
-	// is consistent with exactly one table version, even across a /reload.
+	// One snapshot per request: every answer — table hit or miss — is
+	// consistent with exactly one table version, even across a /reload.
 	t := s.handle.Table()
 	if t == nil {
 		s.httpError(w, "select", http.StatusServiceUnavailable, "no decision table loaded")
@@ -334,133 +333,39 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.tableMisses.Add(1)
 
-	key := cellKey(t, c, req.Procs, req.MsgBytes)
-	if !s.cfg.ColdDisabled {
-		if errMsg, ok := s.negativeHit(key); ok {
-			s.metrics.negativeHits.Add(1)
-			s.httpError(w, "select", http.StatusInternalServerError,
-				"cold selection failed (cached, retry budget exhausted): %s", errMsg)
-			return
-		}
-	}
-
-	// Peer rung: a cold cell owned by another replica is forwarded there
-	// (hedged, budgeted) instead of simulated locally. Any failure falls
-	// through — the local ladder below can always answer.
-	if s.peerAnswer(r, t, c, req, &resp) {
-		s.metrics.latency.observe(time.Since(start).Seconds())
-		s.writeJSON(w, "select", http.StatusOK, resp)
-		return
-	}
-
-	// Model tier: answer the miss instantly from the analytical cost model
-	// and let a background simulation refine the cell into the table. The
-	// response never waits on the worker pool — the whole point of the
-	// middle rung is that a cold miss costs microseconds, not seconds.
-	if s.cfg.ModelTier {
+	// The miss path: the owning peer, else the model (whose answer a
+	// background simulation refines into the table), else the nearest
+	// compiled cell. Each rung answers at once; none waits on a simulation.
+	if !s.peerAnswer(r, t, c, req, &resp) {
 		if cell, ok := s.modelAnswer(t, c, req.Procs, req.MsgBytes); ok {
 			s.metrics.countSource("model")
 			fillFromCell(&resp, cell, "model", false)
-			if !s.cfg.ColdDisabled {
-				s.refineAsync(t, c, req.Procs, req.MsgBytes, key)
-			}
-			s.metrics.latency.observe(time.Since(start).Seconds())
-			s.writeJSON(w, "select", http.StatusOK, resp)
+			s.refineAsync(t, c, req.Procs, req.MsgBytes)
+		} else if lk, ok := t.Nearest(c, req.Procs, req.MsgBytes); ok {
+			s.metrics.countSource("nearest")
+			fillFromCell(&resp, lk.Cell, "nearest", false)
+			resp.AnsweredProcs = lk.Procs
+			resp.AnsweredMsgBytes = lk.MsgBytes
+		} else {
+			s.httpError(w, "select", http.StatusNotFound, "table %s holds no %s cell to answer from", t.Version, c)
 			return
 		}
 	}
-
-	if s.cfg.ColdDisabled {
-		s.httpError(w, "select", http.StatusNotFound, "not covered by table %s (cold path disabled)", t.Version)
-		return
-	}
-
-	// reqCtx bounds this request's wait on the cold path (queue time plus
-	// the leader's selection); the leader itself computes on a detached work
-	// context (compute), so a cancelled requester never aborts work that
-	// other coalesced waiters — or the table — will still use.
-	reqCtx := r.Context()
-	if s.cfg.SelectTimeout > 0 {
-		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(reqCtx, s.cfg.SelectTimeout)
-		defer cancel()
-	}
-
-	cell, err, coalesced := s.flights.do(reqCtx, key, func() (store.Cell, error) {
-		cell, _, err := s.compute(t, c, req.Procs, req.MsgBytes, key)
-		return cell, err
-	})
-	if coalesced {
-		s.metrics.coalesced.Add(1)
-	}
-	if err != nil {
-		s.writeSelectError(w, r, t, c, &resp, err)
-		return
-	}
-	s.metrics.countSource("computed")
-	fillFromCell(&resp, cell, "computed", true)
 	s.metrics.latency.observe(time.Since(start).Seconds())
 	s.writeJSON(w, "select", http.StatusOK, resp)
 }
 
-// isTransient reports whether a cold-path error says nothing durable about
-// the cell itself — shed load, cancellations and deadline hits must not be
+// isTransient reports whether a live-selection error says nothing durable
+// about the cell itself — a cancellation or deadline hit must not be
 // negative-cached, or a transient overload would poison the cell.
 func isTransient(err error) bool {
-	return errors.Is(err, errShed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// retryAfter stamps the Retry-After hint, jittered over [base, 2*base]
-// so shed clients spread their re-offers; call before httpError.
-func (s *Server) retryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.jitter.hint(s.cfg.RetryAfter)))
-}
-
-// observeRetryAfter stamps the /observe-specific Retry-After hint, which
-// is configured independently of the /select one: shed observation
-// batches should back off on the producers' timescale, not the query
-// clients'. Jittered like retryAfter.
+// observeRetryAfter stamps the /observe Retry-After hint, jittered over
+// [base, 2*base] so shed producers spread their re-offers.
 func (s *Server) observeRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(s.jitter.hint(s.cfg.ObserveRetryAfter)))
-}
-
-// writeSelectError maps a cold-path failure to the response the degradation
-// ladder prescribes: breaker-open requests get the nearest covered cell
-// (200, source "nearest-degraded") or 503 when the table has nothing close;
-// shed load gets 429 + Retry-After; an abandoned request gets 499 (nginx's
-// client-closed-request, kept out of the 5xx error rate); a deadline hit
-// gets 503 + Retry-After; only a genuine selection failure is a 500.
-func (s *Server) writeSelectError(w http.ResponseWriter, r *http.Request, t *store.Table, c coll.Collective, resp *SelectResponse, err error) {
-	switch {
-	case errors.Is(err, errBreakerOpen):
-		if lk, ok := t.Nearest(c, resp.Procs, resp.MsgBytes); ok {
-			s.metrics.degradedAnswers.Add(1)
-			s.metrics.countSource("nearest-degraded")
-			fillFromCell(resp, lk.Cell, "nearest-degraded", false)
-			resp.AnsweredProcs = lk.Procs
-			resp.AnsweredMsgBytes = lk.MsgBytes
-			s.writeJSON(w, "select", http.StatusOK, *resp)
-			return
-		}
-		s.retryAfter(w)
-		s.httpError(w, "select", http.StatusServiceUnavailable,
-			"live selection unavailable (circuit breaker open) and no nearby cell to degrade to")
-	case errors.Is(err, errShed):
-		s.metrics.shed.Add(1)
-		s.retryAfter(w)
-		s.httpError(w, "select", http.StatusTooManyRequests, "%v", err)
-	case r.Context().Err() != nil:
-		s.metrics.clientCancels.Add(1)
-		s.httpError(w, "select", 499, "client cancelled: %v", err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.deadlineExceeded.Add(1)
-		s.retryAfter(w)
-		s.httpError(w, "select", http.StatusServiceUnavailable, "selection deadline exceeded: %v", err)
-	case errors.Is(err, context.Canceled):
-		s.httpError(w, "select", http.StatusServiceUnavailable, "selection cancelled: %v", err)
-	default:
-		s.httpError(w, "select", http.StatusInternalServerError, "cold selection failed: %v", err)
-	}
 }
 
 func fillFromCell(resp *SelectResponse, cell store.Cell, source string, exact bool) {
@@ -477,7 +382,7 @@ func fillFromCell(resp *SelectResponse, cell store.Cell, source string, exact bo
 
 // HealthResponse is the /healthz answer. Status walks the health state
 // machine: "healthy", "degraded" (breaker open: every query is still
-// answered, some at reduced quality), "draining" (SIGTERM received) or
+// answered, but misses are not refined), "draining" (SIGTERM received) or
 // "no table".
 type HealthResponse struct {
 	Status        string    `json:"status"`

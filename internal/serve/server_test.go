@@ -71,12 +71,12 @@ func postSelect(t testing.TB, url string, req SelectRequest) (SelectResponse, in
 }
 
 // TestSelectGoldenAgainstSelectCtx is the golden equivalence test: answers
-// for cells present in the artifact — and cold fall-through answers — must
-// be bit-identical to a direct collsel.SelectCtx with the table's
-// seed/factor/faults.
+// for cells present in the artifact — and for cells the background
+// refinement promoted into it — must be bit-identical to a direct
+// collsel.SelectCtx with the table's seed/factor/faults.
 func TestSelectGoldenAgainstSelectCtx(t *testing.T) {
 	tb := compileTiny(t, 1)
-	_, ts := newTestServer(t, Config{Handle: store.NewHandle(tb)})
+	s, ts := newTestServer(t, Config{Handle: store.NewHandle(tb)})
 
 	direct := func(msgBytes int) *collsel.Selection {
 		sel, err := collsel.SelectCtx(context.Background(), collsel.SelectConfig{
@@ -122,25 +122,22 @@ func TestSelectGoldenAgainstSelectCtx(t *testing.T) {
 		t.Fatalf("binned query: code=%d exact=%v alg=%+v", code, binned.Exact, binned.Algorithm)
 	}
 
-	// Cold cell (below the table's size range): computed live, still
+	// Cold cell (below the table's size range): answered by the model at
+	// once, then refined in the background into the table, where it is
 	// bit-identical to direct selection.
 	cold, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 128, Procs: 8})
-	if code != http.StatusOK {
-		t.Fatalf("cold cell: HTTP %d", code)
+	if code != http.StatusOK || cold.Source != "model" || cold.Exact {
+		t.Fatalf("cold cell: HTTP %d served as %s/exact=%v, want 200 model", code, cold.Source, cold.Exact)
 	}
+	s.WaitBackground()
 	wantCold := direct(128)
-	if cold.Source != "computed" {
-		t.Fatalf("cold cell served as %s", cold.Source)
-	}
-	if cold.Algorithm.Name != wantCold.Recommended.Name || cold.Score != wantCold.Ranking[0].Score {
-		t.Fatalf("cold answer %+v score %v, direct %s score %v",
-			cold.Algorithm, cold.Score, wantCold.Recommended.Name, wantCold.Ranking[0].Score)
-	}
-
-	// The cold result was promoted into the table.
 	cached, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 128, Procs: 8})
-	if code != http.StatusOK || cached.Source != "table" || !cached.Exact || cached.Algorithm != cold.Algorithm {
+	if code != http.StatusOK || cached.Source != "table" || !cached.Exact {
 		t.Fatalf("cold repeat: code=%d source=%s exact=%v", code, cached.Source, cached.Exact)
+	}
+	if cached.Algorithm.Name != wantCold.Recommended.Name || cached.Score != wantCold.Ranking[0].Score {
+		t.Fatalf("refined answer %+v score %v, direct %s score %v",
+			cached.Algorithm, cached.Score, wantCold.Recommended.Name, wantCold.Ranking[0].Score)
 	}
 }
 
@@ -162,9 +159,10 @@ func TestSelectValidationAndNoTable(t *testing.T) {
 			t.Errorf("bad request %+v: HTTP %d, want 400", bad, code)
 		}
 	}
-	// Uncovered cell with the cold path disabled: 404, not 500.
-	if _, code := postSelect(t, ts2.URL, SelectRequest{Collective: "alltoall", MsgBytes: 128, Procs: 8}); code != http.StatusNotFound {
-		t.Fatalf("cold disabled: HTTP %d, want 404", code)
+	// A collective the table holds no cell for, at a size the model
+	// cannot answer (more procs than the machine has): 404, not 500.
+	if _, code := postSelect(t, ts2.URL, SelectRequest{Collective: "bcast", MsgBytes: 128, Procs: 2048}); code != http.StatusNotFound {
+		t.Fatalf("nothing to answer from: HTTP %d, want 404", code)
 	}
 	// GET with query parameters works too.
 	resp, err := http.Get(ts2.URL + "/select?collective=alltoall&msg_bytes=512&procs=8")
@@ -177,9 +175,10 @@ func TestSelectValidationAndNoTable(t *testing.T) {
 	}
 }
 
-// TestColdCoalescing fires a burst of identical cold queries and asserts
-// the selection ran once, everyone got the same answer, and the extra
-// requests were recorded as coalesced.
+// TestColdCoalescing fires a burst of identical cold queries while the
+// first one's refinement is held open, and asserts every query got the
+// same model answer at once, the live selection ran once, and its cell
+// then answers from the table.
 func TestColdCoalescing(t *testing.T) {
 	tb := compileTiny(t, 1)
 	var computes atomic.Int64
@@ -204,25 +203,22 @@ func TestColdCoalescing(t *testing.T) {
 			answers[i], codes[i] = postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 100, Procs: 8})
 		}(i)
 	}
-	// Wait until the leader is inside the cold function, give followers
-	// time to pile onto the flight, then release.
-	for computes.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(release)
+	// Every answer arrives while the refinement is still held open.
 	wg.Wait()
+	for i := range answers {
+		if codes[i] != http.StatusOK || answers[i].Source != "model" || answers[i].Algorithm != answers[0].Algorithm {
+			t.Fatalf("request %d: code=%d source=%s answer=%+v", i, codes[i], answers[i].Source, answers[i].Algorithm)
+		}
+	}
+	close(release)
+	s.WaitBackground()
 
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("cold selection ran %d times for one key", n)
 	}
-	for i := range answers {
-		if codes[i] != http.StatusOK || answers[i].Algorithm.Name != "bruck" {
-			t.Fatalf("request %d: code=%d answer=%+v", i, codes[i], answers[i].Algorithm)
-		}
-	}
-	if s.metrics.coalesced.Load() != burst-1 {
-		t.Fatalf("coalesced %d, want %d", s.metrics.coalesced.Load(), burst-1)
+	got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 100, Procs: 8})
+	if code != http.StatusOK || got.Source != "table" || got.Algorithm.Name != "bruck" {
+		t.Fatalf("after the refinement: code=%d source=%s answer=%+v, want the refined table cell", code, got.Source, got.Algorithm)
 	}
 }
 
@@ -392,7 +388,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		fmt.Sprintf("collseld_table_info{version=%q} 1", tb.Version),
 		"collseld_table_cells 2",
 		"collseld_table_swaps_total 1",
-		"collseld_coalesced_total 0",
 		"collseld_breaker_state 0",
 		"collseld_shed_total 0",
 		"collseld_cold_queue_depth 0",

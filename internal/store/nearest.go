@@ -36,12 +36,12 @@ func ratioDistance(a, b int) float64 {
 // compiled cell of the same collective when Get misses: first the section
 // with the nearest process count (ratio distance, smaller procs on a tie),
 // then the cell with the nearest message size within it (smaller size on a
-// tie). It is the serving layer's degraded fallback — when the live
-// selection path is unavailable (circuit breaker open), a nearby known-good
-// answer beats an error: collective algorithm rankings vary smoothly along
-// both grid axes, which is the same locality argument the table's size bins
-// already rely on. ok is false only when the table has no cells for the
-// collective at all.
+// tie). It is the serving layer's last answer for a miss, where the
+// analytical model cannot answer (an unresolvable or drifted machine, more
+// procs than the machine has): a nearby known-good answer beats an error,
+// since collective algorithm rankings vary smoothly along both grid axes —
+// the same locality argument the table's size bins already rely on. ok is
+// false only when the table has no cells for the collective at all.
 func (t *Table) Nearest(c coll.Collective, procs, msgBytes int) (NearestLookup, bool) {
 	if procs <= 0 || msgBytes <= 0 {
 		return NearestLookup{}, false

@@ -6,7 +6,7 @@
 # every answer from the survivors stays HTTP 200 (replica death must
 # never surface as a 5xx), at least one hedged forward wins against the
 # dead owner, and the survivors demote the corpse to dead in /healthz so
-# later forwards short-circuit to the local ladder.
+# later forwards short-circuit to the local miss path.
 #
 # The hedge-win window is the gap between the kill and the survivors'
 # next failed heartbeat probe (which demotes the owner and closes the
@@ -70,7 +70,7 @@ wait_healthy "$u2"
 wait_healthy "$u3"
 
 # Healthy ring: a covered query is a plain table hit, an uncovered one
-# answers 200 through the peer/model ladder, and replica 1 sees both
+# answers 200 through the peer/model miss path, and replica 1 sees both
 # peers alive in its health view.
 curl -sf "$u1/select?collective=alltoall&msg_bytes=1024&procs=8" \
     | grep -q '"source":"table"'

@@ -115,43 +115,47 @@ func alltoallBruck(a *Args) ([]float64, error) {
 	}
 	// Phase 1: local rotation. blocks[k] = my data for rank (me+k) mod p.
 	// Blocks alias a.Data (and, after an exchange round, received payloads);
-	// they are only ever read and re-pointed, never written through.
-	blocks := make([][]float64, p)
-	for k := 0; k < p; k++ {
-		blocks[k] = chunk(a, a.Data, (me+k)%p)
+	// they are only ever read and re-pointed, never written through. Timing
+	// mode moves no data, so it keeps no blocks.
+	var blocks [][]float64
+	if a.Data != nil {
+		blocks = make([][]float64, p)
+		for k := 0; k < p; k++ {
+			blocks[k] = chunk(a, a.Data, (me+k)%p)
+		}
 	}
 	chargeCopy(a, a.Count*p)
 
 	// Phase 2: for each bit, ship all blocks whose index has the bit set to
 	// rank (me+bit), receive the same set from (me-bit). Blocks are packed
-	// into a single message.
+	// into a single message. The indices with the bit set are k = bit,
+	// (bit+1)|bit, ...: n of them, bit in every full period of 2·bit.
 	for bit := 1; bit < p; bit <<= 1 {
 		dst := (me + bit) % p
 		src := (me - bit + p) % p
-		var idxs []int
-		for k := 0; k < p; k++ {
-			if k&bit != 0 {
-				idxs = append(idxs, k)
+		n := p/(2*bit)*bit + max(0, p%(2*bit)-bit)
+		packed := newLike(a.Data, n*a.Count)
+		if blocks != nil {
+			for i, k := 0, bit; k < p; i, k = i+1, (k+1)|bit {
+				copy(chunk(a, packed, i), blocks[k])
 			}
 		}
-		packed := newLike(a.Data, len(idxs)*a.Count)
-		for i, k := range idxs {
-			copy(chunk(a, packed, i), blocks[k])
-		}
-		chargeCopy(a, len(idxs)*a.Count)
-		m := a.R.Sendrecv(dst, a.Tag+bit, packed, a.Bytes(len(idxs)*a.Count), src, a.Tag+bit)
+		chargeCopy(a, n*a.Count)
+		m := a.R.Sendrecv(dst, a.Tag+bit, packed, a.Bytes(n*a.Count), src, a.Tag+bit)
 		// The received payload is the peer's freshly packed buffer for this
 		// round; the peer never touches it again, so blocks can alias it.
-		for i, k := range idxs {
-			blocks[k] = chunk(a, m.Data, i)
+		if blocks != nil {
+			for i, k := 0, bit; k < p; i, k = i+1, (k+1)|bit {
+				blocks[k] = chunk(a, m.Data, i)
+			}
 		}
-		chargeCopy(a, len(idxs)*a.Count)
+		chargeCopy(a, n*a.Count)
 	}
 
 	// Phase 3: inverse rotation. After the exchange rounds, blocks[k] holds
 	// the data sent *to me* by rank (me-k) mod p.
 	res := newLike(a.Data, p*a.Count)
-	for k := 0; k < p; k++ {
+	for k := range blocks {
 		srcRank := (me - k + p) % p
 		copy(chunk(a, res, srcRank), blocks[k])
 	}

@@ -15,6 +15,7 @@ package microbench
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"collsel/internal/clocksync"
 	"collsel/internal/coll"
@@ -376,11 +377,20 @@ func allreduceMaxScalar(r *mpi.Rank, v float64, tag int) float64 {
 		pof2 *= 2
 	}
 	rem := p - pof2
+	// Each send is one element of a single buffer, sized for the most
+	// sends a rank makes (the fold or the last hop, plus one per butterfly
+	// round): a receiver reads its payload after the sender has moved on,
+	// so no round may overwrite an earlier round's element.
+	buf := make([]float64, 0, bits.Len(uint(pof2)))
+	payload := func(x float64) []float64 {
+		buf = append(buf, x)
+		return buf[len(buf)-1:]
+	}
 	cur := v
 	newRank := -1
 	if me < 2*rem {
 		if me%2 == 0 {
-			r.Send(me+1, tag, []float64{cur}, 8)
+			r.Send(me+1, tag, payload(cur), 8)
 		} else {
 			m := r.Recv(me-1, tag)
 			cur = math.Max(cur, m.Data[0])
@@ -398,7 +408,7 @@ func allreduceMaxScalar(r *mpi.Rank, v float64, tag int) float64 {
 	if newRank >= 0 {
 		for b := 1; b < pof2; b <<= 1 {
 			peer := toReal(newRank ^ b)
-			m := r.Sendrecv(peer, tag+1, []float64{cur}, 8, peer, tag+1)
+			m := r.Sendrecv(peer, tag+1, payload(cur), 8, peer, tag+1)
 			cur = math.Max(cur, m.Data[0])
 		}
 	}
@@ -407,7 +417,7 @@ func allreduceMaxScalar(r *mpi.Rank, v float64, tag int) float64 {
 			m := r.Recv(me+1, tag+2)
 			cur = m.Data[0]
 		} else {
-			r.Send(me-1, tag+2, []float64{cur}, 8)
+			r.Send(me-1, tag+2, payload(cur), 8)
 		}
 	}
 	return cur

@@ -247,6 +247,38 @@ func TestInMsgIsPointerFree(t *testing.T) {
 	}
 }
 
+// TestRequestIsCompact pins the in-flight request state: basic_linear
+// holds 2·p·(p-1) requests at once, so a Request must stay within 32
+// bytes, and the owning rank, which the public *Request methods need, must
+// be its only pointer — the message and the waiting process are named by
+// handle and by id.
+func TestRequestIsCompact(t *testing.T) {
+	var pointers []string
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+			pointers = append(pointers, path+" "+typ.String())
+		}
+	}
+	typ := reflect.TypeOf(Request{})
+	walk(typ.Name(), typ)
+	if want := []string{"Request.r *mpi.Rank"}; !reflect.DeepEqual(pointers, want) {
+		t.Errorf("pointer fields %q, want only %q", pointers, want)
+	}
+	if size := typ.Size(); size > 32 {
+		t.Errorf("Request is %d bytes, want at most 32", size)
+	}
+}
+
 // TestRecycledHandleDropsPayload: a data-mode payload is kept beside its
 // message, under the message's handle, so freeing the handle must clear
 // it. Rank 1's payload-less reply reuses the handle of rank 0's message,

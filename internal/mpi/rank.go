@@ -19,23 +19,17 @@ type Rank struct {
 	sendBusyUntil sim.Time
 	recvBusyUntil sim.Time
 
-	// Matching state: envelopes of the posted receives, in post order, and
-	// of the arrived-but-unmatched messages, in arrival order. A scan
-	// compares source and tag inline and follows a handle only on a match;
-	// it stays linear because chargeMatch charges by position.
-	posted     []envelope
-	unexpected []envelope
+	// Matching state: the posted receives, the unexpected messages and the
+	// arrivals held for a predecessor (see matchLists).
+	matchLists
 
 	// Non-overtaking state: the next expected sequence number per source
 	// and the next sequence number per destination, rank-indexed rows of
 	// the store's p² tables materialized on first use (collectives touch
 	// most pairs anyway, and indexing beats per-pair maps on the delivery
-	// hot path), and the arrivals from any source still waiting for a
-	// predecessor. reorder only fills when link jitter reorders the wire
-	// and stays tiny.
+	// hot path).
 	inPseq  []int32
 	outPseq []int32
-	reorder []held
 
 	// syncModel maps this rank's local clock to the reference clock; set by
 	// SyncClock, identity by default.
@@ -43,6 +37,20 @@ type Rank struct {
 
 	// collSeq numbers collective invocations on this rank, for tag spacing.
 	collSeq int
+}
+
+// matchLists is one rank's matching state: envelopes of the posted
+// receives, in post order, and of the arrived-but-unmatched messages, in
+// arrival order, and the arrivals from any source still waiting in reorder
+// for a predecessor. A scan compares source and tag inline and follows a
+// handle only on a match; it stays linear because chargeMatch charges by
+// position. reorder only fills when link jitter reorders the wire and
+// stays tiny. The lists outlive the world in its pooled store, so a warm
+// world appends into storage that has already grown.
+type matchLists struct {
+	posted     []envelope
+	unexpected []envelope
+	reorder    []held
 }
 
 // NextCollSeq increments and returns this rank's collective-invocation

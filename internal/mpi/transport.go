@@ -122,7 +122,7 @@ func (w *World) sendDone(m *inMsg) {
 func (w *World) recvDone(req *Request, m *inMsg) {
 	w.totalMessages++
 	w.totalBytes += int64(m.bytes)
-	req.msg = m
+	req.msg = m.h
 	w.complete(req)
 }
 
@@ -130,19 +130,26 @@ func (w *World) recvDone(req *Request, m *inMsg) {
 // WaitAny release it (MPI_Wait sets the handle to MPI_REQUEST_NULL): the
 // world recycles it for a later operation, so a waited request must not be
 // used again.
+//
+// A Request is 32 bytes: everything but the owning rank is an int32 or a
+// flag, and the message it received and the process waiting on it are
+// named by handle and by process id. The rank pointer lets Wait and
+// WaitAny find their world from a bare *Request, and is why the request
+// slab is still scanned by the GC.
 type Request struct {
 	r *Rank // owning rank
 	// h is the request's own handle in the world's request slab.
-	h    int32
-	done bool
-	// recv state
-	isRecv   bool
-	src, tag int
-	msg      *inMsg
-	cond     sim.Cond
-	// anyCond, when non-nil, is a shared condition a WaitAny caller is
-	// blocked on; completion signals it too.
-	anyCond *sim.Cond
+	h int32
+	// src and tag are a receive's envelope, kept for its block-reason
+	// diagnostic only (matching reads the envelope in Rank.posted).
+	src, tag int32
+	// msg is the handle of the message a completed receive holds.
+	msg int32
+	// cond's waiter is the process blocked in Wait, or in a WaitAny over
+	// this request.
+	cond   sim.Cond
+	done   bool
+	isRecv bool
 }
 
 // Done reports whether the operation completed (MPI_Test semantics,
@@ -153,10 +160,6 @@ func (q *Request) Done() bool { return q.done }
 func (w *World) complete(q *Request) {
 	q.done = true
 	q.cond.Signal(w.K)
-	if q.anyCond != nil {
-		q.anyCond.Signal(w.K)
-		q.anyCond = nil
-	}
 }
 
 // BlockReason implements sim.BlockReason: the diagnostic of a process
@@ -205,16 +208,18 @@ func WaitAny(reqs []*Request) (int, Message) {
 				return i, q.Wait()
 			}
 		}
-		var c sim.Cond
+		// Arm every request with the caller: the first completion readies
+		// it, later ones in the same instant find it runnable already.
+		p := r.curProc()
 		for _, q := range reqs {
 			if q != nil {
-				q.anyCond = &c
+				q.cond.Arm(p)
 			}
 		}
-		c.WaitWith(r.curProc(), reason)
+		p.Park(reason)
 		for _, q := range reqs {
-			if q != nil && !q.done {
-				q.anyCond = nil
+			if q != nil {
+				q.cond.Disarm()
 			}
 		}
 	}
@@ -233,7 +238,8 @@ func (q *Request) Wait() Message {
 	}
 	w := q.r.w
 	var msg Message
-	if m := q.msg; m != nil {
+	if q.isRecv {
+		m := w.st.msgs.at(q.msg)
 		msg = Message{Source: int(m.src), Tag: m.tag, Data: w.st.payload(m.h), Bytes: m.bytes}
 		w.releaseMsg(m)
 	}
@@ -502,7 +508,7 @@ func (w *World) chargeMatch(dst *Rank, entries int) {
 func (r *Rank) Irecv(src, tag int) *Request {
 	w := r.w
 	req := w.newRequest(r)
-	req.isRecv, req.src, req.tag = true, src, tag
+	req.isRecv, req.src, req.tag = true, int32(src), int32(tag)
 	if src < 0 || src >= w.size {
 		r.Abort("Irecv from invalid rank %d", src)
 		return req

@@ -104,3 +104,27 @@ func TestWaitAnyMixedSendRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBlockedWaitDiagnostics pins the deadlock report's text for a rank
+// blocked in Wait on a receive, in Wait on a rendezvous send that is never
+// matched, and in WaitAny.
+func TestBlockedWaitDiagnostics(t *testing.T) {
+	w := newTestWorld(t, 3)
+	err := w.Run(func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Recv(1, 16793607)
+		case 1:
+			WaitAny([]*Request{r.Irecv(0, 3), nil, r.Irecv(2, 4)})
+		case 2:
+			r.Send(0, 9, nil, 1_000_000) // rendezvous: rank 0 never posts tag 9
+		}
+	})
+	want := "sim: deadlock at t=1250 ns, 3 process(es) blocked: [" +
+		"rank0[0]: rank 0 wait recv(src=1,tag=16793607), " +
+		"rank1[1]: rank 1 waitany(3 reqs), " +
+		"rank2[2]: rank 2 wait send]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
+	}
+}

@@ -57,13 +57,15 @@ type World struct {
 // are freed; a world that sends no payloads never grows it. inPseq and
 // outPseq are the int32 size*size tables of next expected and next
 // outgoing per-pair sequence numbers, carved into per-rank rows on first
-// use (Rank.inNext / Rank.nextPseq): 256 KB each at 256 ranks.
+// use (Rank.inNext / Rank.nextPseq): 256 KB each at 256 ranks. lists keeps
+// each rank's matching lists, by rank, between worlds.
 type store struct {
 	reqs    slab[Request]
 	msgs    slab[inMsg]
 	data    [][]float64
 	inPseq  []int32
 	outPseq []int32
+	lists   []matchLists
 }
 
 var storePool = sync.Pool{New: func() any { return new(store) }}
@@ -76,6 +78,10 @@ func (s *store) reset() {
 	s.data = s.data[:0]
 	clear(s.inPseq)
 	clear(s.outPseq)
+	for i := range s.lists {
+		l := &s.lists[i]
+		l.posted, l.unexpected, l.reorder = l.posted[:0], l.unexpected[:0], l.reorder[:0]
+	}
 }
 
 // row returns rank's size-wide row of the size*size slice *buf, sizing
@@ -194,6 +200,9 @@ func (w *World) releaseMsg(m *inMsg) {
 // every Message obtained from it has been consumed; statistics
 // (MessageCount, DropCount, ...) remain readable.
 func (w *World) Release() {
+	for i, r := range w.ranks {
+		w.st.lists[i] = r.matchLists
+	}
 	w.st.reset()
 	storePool.Put(w.st)
 	w.st = nil
@@ -267,8 +276,11 @@ func NewWorld(cfg Config) (*World, error) {
 	w.fault = fault.NewPlan(p, cfg.Size, cfg.Seed, cfg.Fault)
 	w.ranks = make([]*Rank, cfg.Size)
 	slab := make([]Rank, cfg.Size)
+	if n := cfg.Size - len(w.st.lists); n > 0 {
+		w.st.lists = append(w.st.lists, make([]matchLists, n)...)
+	}
 	for i := 0; i < cfg.Size; i++ {
-		slab[i] = Rank{w: w, id: i, syncModel: clocksync.Identity()}
+		slab[i] = Rank{w: w, id: i, matchLists: w.st.lists[i], syncModel: clocksync.Identity()}
 		w.ranks[i] = &slab[i]
 	}
 	return w, nil

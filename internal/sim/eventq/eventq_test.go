@@ -220,6 +220,69 @@ func TestWideStepWorkloadMatchesReference(t *testing.T) {
 	}
 }
 
+// keyChunks counts the key chunks q owns: those in its buckets and those
+// on its free list.
+func keyChunks[T any](q *Queue[T]) int {
+	n := 0
+	for b := range q.buckets {
+		for c := q.buckets[b].head; c != nil; c = c.next {
+			n++
+		}
+	}
+	for c := q.spare; c != nil; c = c.next {
+		n++
+	}
+	return n
+}
+
+// TestHoldStorageBounded runs the hold workload at a standing size of
+// 131072 — a 256-rank cell with every message in flight — and then drains
+// it. Key storage must stay within the most items ever queued plus
+// nBuckets chunks, and the slab within that peak plus one chunk, however
+// the keys spread over the buckets: a bucket keeps no storage it no longer
+// needs.
+func TestHoldStorageBounded(t *testing.T) {
+	const standing = 131072
+	rng := rand.New(rand.NewSource(3))
+	var q Queue[[3]uintptr]
+	var seq uint64
+	push := func(at int64) {
+		seq++
+		q.Push(at, seq, [3]uintptr{})
+	}
+	peak := 0
+	check := func(when string) {
+		t.Helper()
+		peak = max(peak, q.Len())
+		if keys, limit := keyChunks(&q)*chunkKeys, peak+nBuckets*chunkKeys; keys > limit {
+			t.Fatalf("%s: %d key slots for a peak of %d items, want <= %d", when, keys, peak, limit)
+		}
+		if slots, limit := len(q.slab)*slabChunk, peak+slabChunk; slots > limit {
+			t.Fatalf("%s: %d slab slots for a peak of %d items, want <= %d", when, slots, peak, limit)
+		}
+	}
+	for i := 0; i < standing; i++ {
+		push(int64(rng.Intn(1 << 20)))
+	}
+	check("filled")
+	for i := 0; q.Len() > 0; i++ {
+		it := q.Pop()
+		if i < 4*standing {
+			for n := rng.Intn(3); n > 0; n-- {
+				push(it.At + int64(rng.Intn(1<<rng.Intn(21))))
+			}
+		}
+		if i%1024 == 0 {
+			check(fmt.Sprintf("pop %d", i))
+		}
+	}
+	check("drained")
+	if len(q.free) != q.slots {
+		t.Fatalf("drained queue has %d free slots of %d issued", len(q.free), q.slots)
+	}
+	t.Logf("peak %d items: %d key chunks, %d slab chunks", peak, keyChunks(&q), len(q.slab))
+}
+
 // mustPanic runs f and fails unless it panics with a message containing want.
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
@@ -267,10 +330,9 @@ func TestSeqOverflowPanics(t *testing.T) {
 }
 
 func TestSlotOverflowPanics(t *testing.T) {
-	// A zero-size payload lets the slab reach its slot limit without
-	// allocating; the next push has no slot left.
+	// Mark every slot issued; the next push has no slot left.
 	var q Queue[struct{}]
-	q.slab = make([]struct{}, slotMask+1)
+	q.slots = slotMask + 1
 	mustPanic(t, "items queued", func() { q.Push(0, 1, struct{}{}) })
 }
 

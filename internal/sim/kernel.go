@@ -390,18 +390,32 @@ func (p *Proc) Yield() {
 }
 
 // Cond is a single-waiter condition slot used for blocking waits on state
-// changes (e.g. message arrival, request completion).
+// changes (e.g. message arrival, request completion). It names its waiter
+// by process id, so it is four bytes and holds no pointer; the waiter's
+// kernel is the one passed to Signal.
 type Cond struct {
-	waiter *Proc
+	// waiter is the waiting process's id plus one; 0 means none.
+	waiter int32
 }
+
+// Arm makes p the Cond's waiter without blocking it: the next Signal
+// readies p. A process that arms several Conds and then blocks once (see
+// Park) is woken by whichever is signaled first; it must Disarm the rest
+// when it resumes. A Cond supports at most one waiter at a time.
+func (c *Cond) Arm(p *Proc) {
+	if c.waiter != 0 {
+		panic("sim: Cond already has a waiter")
+	}
+	c.waiter = int32(p.id) + 1
+}
+
+// Disarm removes the Cond's waiter, if any, without waking it.
+func (c *Cond) Disarm() { c.waiter = 0 }
 
 // Wait blocks the calling process until Signal is called.
 // A Cond supports at most one waiter at a time.
 func (c *Cond) Wait(p *Proc, reason string) {
-	if c.waiter != nil {
-		panic("sim: Cond already has a waiter")
-	}
-	c.waiter = p
+	c.Arm(p)
 	p.block(reason)
 }
 
@@ -409,10 +423,14 @@ func (c *Cond) Wait(p *Proc, reason string) {
 // asked to render itself if the run ends in a deadlock or watchdog report,
 // so hot paths avoid formatting a reason string per block.
 func (c *Cond) WaitWith(p *Proc, r BlockReason) {
-	if c.waiter != nil {
-		panic("sim: Cond already has a waiter")
-	}
-	c.waiter = p
+	c.Arm(p)
+	p.Park(r)
+}
+
+// Park suspends the calling process until a Cond it armed is signaled (or
+// anything else readies it). r supplies the block-reason diagnostic
+// lazily, as for WaitWith.
+func (p *Proc) Park(r BlockReason) {
 	p.reason = blockInfo{kind: reasonLazy, prov: r}
 	p.suspend()
 }
@@ -420,15 +438,15 @@ func (c *Cond) WaitWith(p *Proc, r BlockReason) {
 // Signal wakes the waiter, if any. Must be called in kernel context or from
 // the running process.
 func (c *Cond) Signal(k *Kernel) {
-	if c.waiter != nil {
-		w := c.waiter
-		c.waiter = nil
-		k.Ready(w)
+	if c.waiter != 0 {
+		id := c.waiter - 1
+		c.waiter = 0
+		k.Ready(k.procs[id])
 	}
 }
 
 // HasWaiter reports whether a process is currently blocked on the Cond.
-func (c *Cond) HasWaiter() bool { return c.waiter != nil }
+func (c *Cond) HasWaiter() bool { return c.waiter != 0 }
 
 // Current returns the process currently executing (nil from kernel
 // context). Blocking helpers use it so that any process — e.g. a progress

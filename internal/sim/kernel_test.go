@@ -157,7 +157,7 @@ func TestCondWaitSignal(t *testing.T) {
 func TestCondDoubleWaiterPanics(t *testing.T) {
 	k := New()
 	var c Cond
-	c.waiter = &Proc{}
+	c.Arm(&Proc{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on second waiter")

@@ -43,14 +43,14 @@ bench:
 check: build vet lint test race
 
 # Deterministic chaos harness for the serving layer and the feedback loop:
-# hanging/failing/slow refinements, shed bursts, breaker lifecycle, the
-# negative cache, reload storms, drain, observe-storm backpressure,
+# hanging and failing refinements, shed bursts, the worker and in-flight
+# bounds, the negative cache, reload storms, drain, observe-storm backpressure,
 # recompile-vs-reload swap races and WAL crash recovery — all under the
 # race detector, with a goroutine-leak check per scenario. `build` is the
 # shared prerequisite with serve-smoke, so CI jobs never repeat ad-hoc
 # build steps.
 chaos: build
-	$(GO) test -race -run 'TestChaos|TestBreaker|TestNegativeColdCaching|TestDrainStateMachine' -count=1 -v ./internal/serve
+	$(GO) test -race -run 'TestChaos|TestNegativeColdCaching|TestDrainStateMachine' -count=1 -v ./internal/serve
 	$(GO) test -race -run 'TestPipeline|TestWAL|TestOfferBackpressureAndClose' -count=1 -v ./internal/feedback
 	$(GO) test -race -count=1 -v ./internal/cluster
 

@@ -4,10 +4,11 @@
 // as well: from the analytical cost model, or from the nearest compiled
 // cell where the model cannot answer (an unresolvable or drifted machine,
 // more procs than the machine has). Behind a model answer a background
-// refinement simulates the cell, gated by coalescing, a bounded worker
-// pool with a shed queue (-cold-queue), a deadline (-select-timeout), a
-// circuit breaker (-breaker-*) and a negative cache (-negative-retries);
-// these gate work, never answers, and -no-cold turns refinement off.
+// refinement simulates the cell. One refinement gate coalesces it per
+// cell, runs at most -cold-workers at once with -cold-queue more waiting
+// (an excess refinement is shed), gives each a deadline
+// (-select-timeout) and stops refining a cell after its third failure;
+// it gates work, never answers, and -no-cold turns refinement off.
 // Every refined cell and every exact peer answer is promoted into the
 // served table, so the next query for it is a table hit.
 //
@@ -66,12 +67,8 @@ func main() {
 	coldWorkers := flag.Int("cold-workers", 2, "max concurrent background refinements (live selections) of uncovered cells")
 	noCold := flag.Bool("no-cold", false, "never simulate: answer uncovered queries from the model or the nearest cell without refining them")
 	coldQueue := flag.Int("cold-queue", 8, "refinements allowed to wait for a worker; excess refinements are shed (negative: no waiting)")
-	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "deadline for one refinement or peer forward, enforced down into the simulation workers (0 disables)")
-	negRetries := flag.Int("negative-retries", 2, "refinement retries for a cell whose live selection failed (negative disables negative caching)")
+	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "deadline for one refinement's live selection (from when it holds a worker) or one peer forward, enforced down into the simulation workers (0 disables)")
 	observeRetryAfter := flag.Duration("observe-retry-after", time.Second, "Retry-After hint on shed /observe batches (429); tune to the observation producers' batching period")
-	breakerFailures := flag.Int("breaker-failures", 5, "consecutive refinement failures that trip the circuit breaker open")
-	breakerOpen := flag.Duration("breaker-open", 10*time.Second, "breaker cooldown before the half-open probe")
-	breakerSlow := flag.Duration("breaker-slowcall", 0, "live selections slower than this count as breaker failures (0 disables)")
 	drainWait := flag.Duration("drain", 10*time.Second, "grace period between SIGTERM (healthz flips to draining) and shutdown")
 	observeWAL := flag.String("observe-wal", "", "directory for the /observe write-ahead log; empty disables the feedback loop")
 	observeBuffer := flag.Int("observe-buffer", 64, "accepted-but-not-yet-logged observation batches; /observe sheds with 429 beyond this")
@@ -155,17 +152,11 @@ func main() {
 		ColdWorkers:       *coldWorkers,
 		ColdQueue:         *coldQueue,
 		SelectTimeout:     *selectTimeout,
-		NegativeRetries:   *negRetries,
 		ObserveRetryAfter: *observeRetryAfter,
-		Breaker: serve.BreakerConfig{
-			Failures: *breakerFailures,
-			OpenFor:  *breakerOpen,
-			SlowCall: *breakerSlow,
-		},
-		Feedback:        pipeline,
-		Cluster:         clu,
-		RetryJitterSeed: jitterSeed(*self, *addr),
-		Logf:            logger.Printf,
+		Feedback:          pipeline,
+		Cluster:           clu,
+		RetryJitterSeed:   jitterSeed(*self, *addr),
+		Logf:              logger.Printf,
 	})
 	if err != nil {
 		cliutil.Fatal("collseld", err)

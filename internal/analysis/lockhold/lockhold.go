@@ -2,8 +2,8 @@
 // holding a mutex across a blocking operation.
 //
 // The serving stack's tail latency budget assumes critical sections are
-// short: internal/cluster's health machine and internal/serve's breaker and
-// admission queue all take a mutex on the request path. A blocking call
+// short: internal/cluster's health machine and internal/serve's refinement
+// gate both take a mutex on the request path. A blocking call
 // made while the mutex is held — a channel send or receive, a select with
 // no default, time.Sleep, (*sync.WaitGroup).Wait, a net/http round-trip, a
 // dial — turns one slow peer into a pile-up of every goroutine contending
@@ -74,7 +74,7 @@ type mayBlockFact struct {
 	Reason string // the root blocking construct, for the diagnostic
 }
 
-func (*mayBlockFact) AFact()         {}
+func (*mayBlockFact) AFact()           {}
 func (f *mayBlockFact) String() string { return "mayBlock(" + f.Reason + ")" }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -78,7 +78,7 @@ func renderExpo(w io.Writer, dynName string) {
 // Counter-backing fields are monotonic: only Add with a positive delta.
 func mutate(m *metrics) {
 	m.hits.Add(1)
-	m.hits.Add(-1) // want `negative Add on counter-backing field for "collseld_hits"`
+	m.hits.Add(-1)  // want `negative Add on counter-backing field for "collseld_hits"`
 	m.hits.Store(0) // want `Store on counter-backing field for "collseld_hits"`
 	m.hits.Swap(0)  // want `Swap on counter-backing field for "collseld_hits"`
 	// depth backs a gauge, so resets are fine.

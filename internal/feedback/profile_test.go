@@ -119,7 +119,7 @@ func TestPlanDriftDetection(t *testing.T) {
 	t.Run("uncovered profiles are skipped", func(t *testing.T) {
 		agg := NewAggregator()
 		agg.Fold([]Record{
-			obs(100, 3.0, 50),                // below the table's smallest size
+			obs(100, 3.0, 50), // below the table's smallest size
 			{Collective: "allreduce", Procs: 8, MsgBytes: 600, ImbMicro: 3e6, Count: 50}, // collective not compiled
 			{Collective: "alltoall", Procs: 4, MsgBytes: 600, ImbMicro: 3e6, Count: 50},  // procs not compiled
 		})

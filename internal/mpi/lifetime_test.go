@@ -134,12 +134,14 @@ func TestRendezvousDeliversSameMessageUnderRetransmit(t *testing.T) {
 // delivered messages are recycled within a world, so a warm 256-rank
 // pairwise alltoall (p-1 Sendrecv steps per rank, p² messages) makes O(p)
 // allocations, not one Request and one inMsg per message. GC is off so the
-// first run's pooled storage survives into the measured one. The bound is
-// on the allocation count, not bytes: the world's p²-entry reorder and
-// sequence slabs are one allocation each when sync.Pool drops them, as it
-// does at random under the race detector.
+// first run's pooled storage survives into the measured one, and one P
+// runs both: a sync.Pool keeps an entry private to the P that put it. The
+// bound is on the allocation count, not bytes: the world's p²-entry
+// reorder and sequence slabs are one allocation each when sync.Pool drops
+// them, as it does at random under the race detector.
 func TestPairwiseAlltoallAllocationIsInFlightBounded(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const p = 256
 	plat := netmodel.SimCluster()
 	for _, bytes := range []int{64, 4 * plat.EagerThresholdBytes} { // eager and rendezvous

@@ -2,12 +2,12 @@ package serve
 
 // The deterministic chaos harness: every failure mode the overload design
 // claims to survive is injected here — hanging selections, failing
-// selections, shed bursts, breaker trips and reload storms — and the
-// harness asserts the externally visible contract: every query answered
-// at once, zero torn responses, correct breaker transitions, refinements
-// gated (never answers) and no leaked goroutines. Chaos is injected through the SelectFunc seam and a
-// fake clock, never through wall-clock sleeps standing in for events, so
-// the tests pass identically under -race and on slow machines.
+// selections, shed bursts and reload storms — and the harness asserts the
+// externally visible contract: every query answered at once, zero torn
+// responses, refinements gated (never answers) within the worker bound
+// and no leaked goroutines. Chaos is injected through the SelectFunc
+// seam, never through wall-clock sleeps standing in for events, so the
+// tests pass identically under -race and on slow machines.
 //
 // Run via `make chaos` (also part of the ordinary test suite).
 
@@ -60,25 +60,6 @@ func leakCheck(t *testing.T) {
 	})
 }
 
-// fakeClock drives the breaker's open→half-open transition without real
-// waiting.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // rawSelect posts a select request and returns the raw status, headers and
 // body without t.Fatal-ing from a non-test goroutine.
 func rawSelect(url string, req SelectRequest) (code int, header http.Header, body []byte, err error) {
@@ -96,8 +77,8 @@ func rawSelect(url string, req SelectRequest) (code int, header http.Header, bod
 // returns on its own — the worst live selection there is — and asserts
 // that no answer waits on it: a burst of distinct misses much larger than
 // workers+queue is answered at once from the model, every refinement
-// beyond the pool and the queue is shed, the admitted ones end at the
-// deadline, and no goroutine outlives the burst.
+// beyond the pool and the queue is shed, the admitted ones each end at
+// their deadline, and no goroutine outlives the burst.
 func TestChaosHangingSelectBoundedLatency(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -113,10 +94,6 @@ func TestChaosHangingSelectBoundedLatency(t *testing.T) {
 		ColdWorkers:   2,
 		ColdQueue:     4,
 		SelectTimeout: deadline,
-		// A hanging live selection trips the breaker by design; disarm it
-		// here so this test sees pure deadline/shed behavior (breaker
-		// lifecycle has its own test below).
-		Breaker: BreakerConfig{Failures: 1 << 20},
 	})
 
 	const burst = 16
@@ -162,8 +139,9 @@ func TestChaosHangingSelectBoundedLatency(t *testing.T) {
 			t.Fatalf("request %d: took %v, the answer must not wait on the %v refinement deadline", i, o.elapsed, deadline)
 		}
 	}
-	// Every refinement ends by its deadline: nothing serialized behind the
-	// hung workers.
+	// Every refinement ends by its deadline, which starts once it holds a
+	// worker: the six admitted run in three waves of two, and nothing else
+	// queues behind the hung workers.
 	s.WaitBackground()
 	if total := time.Since(start); total > deadline+3*time.Second {
 		t.Fatalf("refinements took %v in total, want ~%v", total, deadline)
@@ -233,154 +211,97 @@ func TestChaosSheddingBurst(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerLifecycle walks the full breaker state machine on a fake
-// clock: consecutive refinement failures trip it open (/healthz reports
-// degraded, and every miss is still answered — from the model, or from the
-// nearest compiled cell where the model cannot answer — while no
-// refinement runs), the cooldown admits exactly one half-open probe, a
-// failed probe re-opens, and a successful probe closes the breaker,
-// restores healthy and lands its cell.
-func TestChaosBreakerLifecycle(t *testing.T) {
+// TestChaosFailingRefinementsBounded pins the bound that keeps a failing
+// live selection from eating the process: more distinct cells than
+// workers miss again and again while every refinement fails. Every query
+// is answered at once from the model, at most ColdWorkers selections run
+// at once, and each cell is refined exactly 1+refineRetries times, then
+// never again; /healthz stays healthy throughout.
+func TestChaosFailingRefinementsBounded(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
-	var fail atomic.Bool
-	var calls atomic.Int64
-	fail.Store(true)
+	const workers, cells = 2, 6
+	var running, maxRunning atomic.Int64
+	calls := make([]atomic.Int64, cells)
+	tokens := make(chan struct{})
 	s, ts := newTestServer(t, Config{
 		Handle: store.NewHandle(tb),
 		Cold: func(ctx context.Context, _ *store.Table, _ coll.Collective, _, msgBytes int) (store.Cell, error) {
-			calls.Add(1)
-			if fail.Load() {
-				return store.Cell{}, fmt.Errorf("injected cold failure")
+			n := running.Add(1)
+			defer running.Add(-1)
+			for m := maxRunning.Load(); n > m && !maxRunning.CompareAndSwap(m, n); m = maxRunning.Load() {
 			}
-			return store.Cell{MsgBytes: msgBytes, Winner: store.AlgoRef{ID: 7, Name: "probe-ok"}, Score: 1}, nil
+			calls[msgBytes-2].Add(1)
+			select {
+			case <-tokens:
+			case <-ctx.Done():
+			}
+			return store.Cell{}, fmt.Errorf("injected: cell cannot be simulated")
 		},
-		Breaker:         BreakerConfig{Failures: 3, OpenFor: 10 * time.Second},
-		NegativeRetries: -1, // isolate the breaker from negative caching
+		ColdWorkers:   workers,
+		SelectTimeout: 10 * time.Second, // ends a stray refinement that gets no token
 	})
-	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	s.breaker = newBreaker(s.cfg.Breaker, clk.now)
 
-	healthz := func() HealthResponse {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
+	for round := 0; round < 1+refineRetries+2; round++ {
+		codes, sources := make([]int, cells), make([]string, cells)
+		var wg sync.WaitGroup
+		for i := 0; i < cells; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				code, _, body, err := rawSelect(ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 2 + i, Procs: 8})
+				var resp SelectResponse
+				if err == nil && json.Unmarshal(body, &resp) == nil {
+					codes[i], sources[i] = code, resp.Source
+				}
+			}(i)
 		}
-		defer resp.Body.Close()
-		var h HealthResponse
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
+		// Every answer arrives while this round's refinements are held.
+		wg.Wait()
+		for i := range codes {
+			if codes[i] != http.StatusOK || sources[i] != "model" {
+				t.Fatalf("round %d cell %d: HTTP %d source %q, want 200 model", round, i, codes[i], sources[i])
+			}
 		}
-		return h
-	}
-	// miss asks for an uncovered cell, which must be answered at once,
-	// then waits for the refinement it may have started.
-	miss := func(msgBytes, procs int, source string) SelectResponse {
-		t.Helper()
-		got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msgBytes, Procs: procs})
-		if code != http.StatusOK || got.Source != source || got.Exact {
-			t.Fatalf("miss %d B %d procs: HTTP %d source %q exact %v, want 200 %s", msgBytes, procs, code, got.Source, got.Exact, source)
+		if round <= refineRetries {
+			for deadline := time.Now().Add(5 * time.Second); running.Load() < workers && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			for i := 0; i < cells; i++ {
+				tokens <- struct{}{} // one per admitted refinement: each cell has one
+			}
 		}
 		s.WaitBackground()
-		return got
 	}
 
-	// Three consecutive failed refinements (distinct cells) trip the
-	// breaker; each query is answered from the model all the same.
-	for i := 0; i < 3; i++ {
-		miss(2+i, 8, "model")
+	if got := maxRunning.Load(); got != workers {
+		t.Fatalf("at most %d live selections ran at once, want exactly the %d workers", got, workers)
 	}
-	if st, opens := s.breaker.snapshot(); st != breakerOpen || opens != 1 {
-		t.Fatalf("after 3 failures: state=%s opens=%d", breakerStateName(st), opens)
-	}
-	if h := healthz(); h.Status != HealthDegraded || h.Breaker != "open" {
-		t.Fatalf("healthz while open: %+v", h)
-	}
-
-	// Open breaker: misses are still answered, and no refinement runs.
-	miss(5, 8, "model")
-	got := miss(5, 2048, "nearest") // more procs than the machine: the model refuses
-	if got.AnsweredProcs != 8 || got.AnsweredMsgBytes != 512 {
-		t.Fatalf("nearest answer coordinates: %+v", got)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("%d live selections, want 3: an open breaker must refuse refinements", n)
-	}
-
-	// Cooldown elapses; the next refinement is the half-open probe, and it
-	// fails, so the breaker re-opens.
-	clk.advance(11 * time.Second)
-	miss(6, 8, "model")
-	if st, opens := s.breaker.snapshot(); st != breakerOpen || opens != 2 {
-		t.Fatalf("after failed probe: state=%s opens=%d", breakerStateName(st), opens)
-	}
-
-	// Second cooldown; the live selection has recovered, the probe
-	// succeeds, the breaker closes and the probe's cell lands.
-	fail.Store(false)
-	clk.advance(11 * time.Second)
-	miss(7, 8, "model")
-	if st, _ := s.breaker.snapshot(); st != breakerClosed {
-		t.Fatalf("after successful probe: state=%s", breakerStateName(st))
-	}
-	if h := healthz(); h.Status != HealthHealthy || h.Breaker != "closed" {
-		t.Fatalf("healthz after recovery: %+v", h)
-	}
-	got, code := postSelect(t, ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: 7, Procs: 8})
-	if code != http.StatusOK || got.Source != "table" || got.Algorithm.Name != "probe-ok" {
-		t.Fatalf("probe cell: code=%d %+v", code, got)
-	}
-}
-
-// TestBreakerSingleProbe pins the half-open contract at the unit level:
-// while one probe is in flight every other caller is refused, only the
-// probe's outcome moves the state machine, and refusing agrees with allow
-// without granting the probe itself.
-func TestBreakerSingleProbe(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := newBreaker(BreakerConfig{Failures: 1, OpenFor: time.Second}, clk.now)
-	b.record(0, fmt.Errorf("boom")) // trips immediately (Failures: 1)
-	if st, _ := b.snapshot(); st != breakerOpen {
-		t.Fatalf("state %s, want open", breakerStateName(st))
-	}
-	if !b.refusing() || b.allow() {
-		t.Fatal("open breaker admitted a call before cooldown")
-	}
-	clk.advance(2 * time.Second)
-	if b.refusing() {
-		t.Fatal("cooled-down breaker reports refusing before its probe")
-	}
-	if !b.allow() {
-		t.Fatal("cooled-down breaker refused the probe")
-	}
-	for i := 0; i < 3; i++ {
-		if !b.refusing() || b.allow() {
-			t.Fatal("second caller admitted while probe in flight")
+	for i := range calls {
+		if got := calls[i].Load(); got != 1+refineRetries {
+			t.Fatalf("cell %d refined %d times, want %d", i, got, 1+refineRetries)
 		}
 	}
-	b.record(0, nil) // probe succeeds
-	if st, _ := b.snapshot(); st != breakerClosed {
-		t.Fatalf("state after probe success: %s", breakerStateName(st))
+	if got, want := s.metrics.negativeHits.Load(), int64(2*cells); got != want {
+		t.Fatalf("negativeHits %d, want %d (two rounds after the retries were spent)", got, want)
 	}
-	if b.refusing() || !b.allow() {
-		t.Fatal("closed breaker refused a call")
+	if got := s.metrics.shed.Load(); got != 0 {
+		t.Fatalf("shed %d, want 0: every cell fits in workers+queue", got)
 	}
-}
-
-// TestChaosSlowCallTripsBreaker verifies the slow-call policy: selections
-// that succeed but blow the latency budget count as failures.
-func TestChaosSlowCallTripsBreaker(t *testing.T) {
-	b := newBreaker(BreakerConfig{Failures: 2, OpenFor: time.Second, SlowCall: 100 * time.Millisecond}, (&fakeClock{}).now)
-	b.record(200*time.Millisecond, nil) // slow success
-	b.record(150*time.Millisecond, nil) // slow success
-	if st, _ := b.snapshot(); st != breakerOpen {
-		t.Fatalf("two slow calls left the breaker %s, want open", breakerStateName(st))
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthResponse
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || h.Status != HealthHealthy {
+		t.Fatalf("healthz after failing refinements: HTTP %d %+v (%v), want 200 healthy", resp.StatusCode, h, err)
 	}
 }
 
 // TestNegativeColdCaching pins the negative-cache contract: a cell whose
-// refinement keeps failing is refined NegativeRetries more times, then its
+// refinement keeps failing is refined refineRetries more times, then its
 // remembered failure suppresses the refinement — but never the answer:
 // every query is a 200 from the model. A retry that succeeds forgets the
 // failure and promotes the refined cell into the table.
@@ -399,9 +320,6 @@ func TestNegativeColdCaching(t *testing.T) {
 			}
 			return store.Cell{MsgBytes: msgBytes, Winner: store.AlgoRef{ID: 5, Name: "recovered"}, Score: 1}, nil
 		},
-		NegativeRetries: 2,
-		// Keep the breaker out of the way: this test is about the cache.
-		Breaker: BreakerConfig{Failures: 1 << 20},
 	})
 	miss := func(req SelectRequest) {
 		t.Helper()

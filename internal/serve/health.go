@@ -7,12 +7,10 @@ import (
 
 // Health states, in degradation order. The state is derived, not stored:
 // draining wins (the operator asked the process to go away), then no
-// table, then degraded (the breaker is refusing refinements), then
-// healthy. Deriving it from the underlying facts means the machine can
-// never be left stale by a missed transition.
+// table, then healthy. Deriving it from the underlying facts means the
+// machine can never be left stale by a missed transition.
 const (
 	HealthHealthy  = "healthy"
-	HealthDegraded = "degraded"
 	HealthDraining = "draining"
 )
 
@@ -38,19 +36,14 @@ func (s *Server) StartDrain() {
 func (s *Server) Draining() bool { return s.drain.active() }
 
 // healthState derives the current health state and the HTTP status code
-// /healthz should answer with. healthy and degraded both return 200 — a
-// degraded server still answers every query, it just refines no misses —
-// while draining and no-table return 503 to pull the instance out of
-// rotation.
+// /healthz should answer with: 200 when healthy, while draining and
+// no-table return 503 to pull the instance out of rotation.
 func (s *Server) healthState() (state string, code int) {
 	if s.drain.active() {
 		return HealthDraining, http.StatusServiceUnavailable
 	}
 	if s.handle.Table() == nil {
 		return "no table", http.StatusServiceUnavailable
-	}
-	if st, _ := s.breaker.snapshot(); st != breakerClosed {
-		return HealthDegraded, http.StatusOK
 	}
 	return HealthHealthy, http.StatusOK
 }

@@ -43,7 +43,7 @@ type metrics struct {
 	qMsgMax       atomic.Int64
 
 	// Refinements refused before they simulate.
-	shed         atomic.Int64 // shed by the admission queue (queue full)
+	shed         atomic.Int64 // shed by the refinement gate (in-flight bound reached)
 	negativeHits atomic.Int64 // suppressed by a remembered failure
 
 	// Observe-path (feedback ingestion) traffic.
@@ -183,10 +183,9 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 
 // render writes the Prometheus text exposition. tableInfo supplies the
 // gauges that depend on the currently loaded table (version, age, cells,
-// swaps); serveInfo supplies the refinement gauges (breaker state,
-// cumulative breaker opens, wait-queue depth). Both are read at scrape time so a
-// hot swap or a breaker transition is visible immediately.
-func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, ageSec float64, cells int, swaps int64), serveInfo func() (breakerState int, breakerOpens int64, queueDepth int64)) {
+// swaps), read at scrape time so a hot swap is visible immediately;
+// queueDepth is the number of refinements waiting for a worker slot.
+func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, ageSec float64, cells int, swaps int64), queueDepth int64) {
 	fmt.Fprintf(b, "# HELP collseld_requests_total Finished HTTP requests.\n")
 	fmt.Fprintf(b, "# TYPE collseld_requests_total counter\n")
 	m.requestsMu.Lock()
@@ -209,7 +208,7 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 	e.counter("collseld_table_hits_total", "Select queries answered from the decision table.", m.tableHits.Load())
 	e.counter("collseld_table_misses_total", "Select queries not covered by the decision table.", m.tableMisses.Load())
 	e.counter("collseld_cold_computes_total", "Live selections executed by background refinements.", m.coldComputes.Load())
-	e.counter("collseld_shed_total", "Background refinements shed (wait queue full).", m.shed.Load())
+	e.counter("collseld_shed_total", "Background refinements shed (in-flight bound reached).", m.shed.Load())
 	e.counter("collseld_negative_cache_hits_total", "Background refinements suppressed by a remembered failure.", m.negativeHits.Load())
 	e.counter("collseld_promotions_total", "Cells promoted into the serving table (refined or from a peer).", m.promotions.Load())
 	e.counter("collseld_model_promotions_total", "Model-tier background refinements promoted into the serving table.", m.modelPromotions.Load())
@@ -222,10 +221,6 @@ func (m *metrics) render(b *strings.Builder, tableInfo func() (version string, a
 	}
 
 	e.gauge("collseld_inflight_cold", "Live selections currently executing.", m.inflightCold.Load())
-
-	breakerState, breakerOpens, queueDepth := serveInfo()
-	e.gauge("collseld_breaker_state", "Circuit breaker state (0=closed, 1=half-open, 2=open).", int64(breakerState))
-	e.counter("collseld_breaker_opens_total", "Times the circuit breaker tripped open.", breakerOpens)
 	e.gauge("collseld_cold_queue_depth", "Background refinements waiting for a worker slot.", queueDepth)
 
 	fmt.Fprintf(b, "# HELP collseld_select_latency_seconds Select request latency.\n")

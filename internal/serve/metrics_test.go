@@ -33,7 +33,7 @@ func TestMetricsRenderDeterministic(t *testing.T) {
 		var b strings.Builder
 		m.render(&b,
 			func() (string, float64, int, int64) { return "v1", 0, 42, 1 },
-			func() (int, int64, int64) { return 0, 0, 0 })
+			0)
 		return b.String()
 	}
 

@@ -13,10 +13,11 @@ import (
 // cell and promotes the result into the hot table. The next query for the
 // cell is a plain table hit; the model answer was only ever a bridge.
 //
-// The refinement is the only place the daemon simulates. Its worker pool,
-// circuit breaker and negative cache (promote.go) gate the work alone:
-// when one of them refuses, the refinement is simply dropped — the client
-// already has its model answer, and a later miss retriggers it.
+// The refinement is the only place the daemon simulates. One refinement
+// gate (promote.go) decides whether it runs: it coalesces per cell, bounds
+// the refinements in flight, remembers failures and holds the worker
+// slots. It gates the work alone: a refused refinement is simply dropped —
+// the client already has its model answer, and a later miss retriggers it.
 
 // modelAnswer computes the analytical-model estimate for an uncovered
 // cell under the table's provenance (machine, skew factor, seed). It
@@ -43,32 +44,36 @@ func (s *Server) modelAnswer(t *store.Table, c coll.Collective, procs, msgBytes 
 }
 
 // refineAsync starts the background simulation that upgrades a model
-// answer. Nothing starts when simulation is disabled, while the breaker
-// refuses live selections, when the cell is already being refined (one
-// flight per cell key, so a burst of misses costs one simulation), or
-// when a remembered failure has spent its retry budget. A /reload of a
-// different artifact wins over the refinement, whose cell is dropped.
+// answer, if the refinement gate admits it. Nothing starts when
+// simulation is disabled, when the cell is already being refined (one
+// flight per cell key, so a burst of misses costs one simulation), when a
+// remembered failure has spent its retries, or when the in-flight bound is
+// reached (the refinement is shed). A /reload of a different artifact
+// wins over the refinement, whose cell is dropped.
 func (s *Server) refineAsync(t *store.Table, c coll.Collective, procs, msgBytes int) {
-	if s.cfg.ColdDisabled || s.breaker.refusing() {
+	if s.cfg.ColdDisabled {
 		return
 	}
 	key := cellKey(t, c, procs, msgBytes)
-	if _, busy := s.flights.LoadOrStore(key, struct{}{}); busy {
-		return
-	}
-	if s.negativeHit(key) {
+	switch s.gate.admit(key) {
+	case spent:
 		s.metrics.negativeHits.Add(1)
-		s.flights.Delete(key)
+		return
+	case shedFull:
+		s.metrics.shed.Add(1)
+		return
+	case inFlight:
 		return
 	}
 	s.refineWG.Add(1)
-	//collsel:goroutine one per cell flight, joined by WaitBackground; admission in refine borrows a cold worker slot
+	//collsel:goroutine one per admitted cell refinement, at most ColdWorkers+ColdQueue at once, joined by WaitBackground
 	go func() {
 		defer s.refineWG.Done()
-		if s.refine(t, c, procs, msgBytes, key) {
+		landed, err := s.refine(t, c, procs, msgBytes)
+		s.gate.finish(key, err != nil)
+		if landed {
 			s.metrics.modelPromotions.Add(1)
 		}
-		s.flights.Delete(key)
 	}()
 }
 

@@ -10,16 +10,16 @@
 // (peer.go), else by the analytical model (model.go), else by the nearest
 // compiled cell; only a collective the table holds no cell for is a 404.
 // No request waits on a simulation. The live selection runs only as the
-// background refinement behind a model answer, coalesced per cell and
-// gated by a bounded worker pool, a circuit breaker and a negative cache;
-// they gate the work, never the answer. Every refined cell is promoted
-// into the table (promote.go), the only cache of computed cells.
+// background refinement behind a model answer, behind one refinement gate
+// that coalesces per cell, bounds the refinements in flight, remembers
+// failures and holds the worker slots; it gates the work, never the
+// answer. Every refined cell is promoted into the table (promote.go), the
+// only cache of computed cells.
 package serve
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -79,24 +79,15 @@ type Config struct {
 	// beyond the ColdWorkers already computing; an excess refinement is
 	// shed (dropped and counted — its query already has an answer, and a
 	// later miss retriggers it). Default 8; negative means no waiting at
-	// all (shed the moment every worker is busy).
+	// all (shed the moment every worker is busy). A cell whose refinement
+	// failed is refined refineRetries more times, then no more.
 	ColdQueue int
-	// SelectTimeout bounds one refinement (queue wait + live selection) and
-	// one peer forward. The deadline is plumbed as a context all the way
-	// into the simulation workers, which poll it cooperatively — a
-	// timed-out selection stops burning CPU. 0 disables deadlines.
+	// SelectTimeout bounds one refinement's live selection, from the
+	// moment it holds a worker slot (not its wait for one), and one peer
+	// forward. The deadline is plumbed as a context all the way into the
+	// simulation workers, which poll it cooperatively — a timed-out
+	// selection stops burning CPU. 0 disables deadlines.
 	SelectTimeout time.Duration
-	// NegativeRetries is the retry budget of a remembered refinement
-	// failure: the first NegativeRetries misses of a failing cell refine it
-	// again; after that the cell is not refined, though its queries are
-	// still answered. At most maxNegative failures are remembered. Default
-	// 2; negative disables negative caching entirely.
-	NegativeRetries int
-	// Breaker parameterizes the circuit breaker in front of the live
-	// selection; the zero value uses the defaults (5 consecutive failures
-	// trip it open for 10s, then one half-open probe). An open breaker
-	// refuses refinements; it never changes an answer.
-	Breaker BreakerConfig
 	// ObserveRetryAfter is the Retry-After hint stamped on /observe 429
 	// responses (default 1s). Observation producers batch and tolerate long
 	// delays, so operators typically set it to their batching period.
@@ -131,20 +122,13 @@ type Server struct {
 	handle   *store.Handle
 	metrics  *metrics
 	feedback *feedback.Pipeline
-	// cold is the refinements' admission controller (worker pool + bounded
-	// wait queue), breaker the circuit breaker in front of the live
-	// selection, and drain the SIGTERM latch.
-	cold    *admission
-	breaker *breaker
-	drain   drainFlag
+	// gate decides which refinements run (promote.go); drain is the
+	// SIGTERM latch.
+	gate  *refineGate
+	drain drainFlag
 	// jitter spreads /observe Retry-After hints so shed producers don't
 	// re-offer in lockstep.
 	jitter *retryJitter
-	// flights holds the cell keys with a refinement in the air (model.go).
-	flights sync.Map
-	// negative remembers refinement failures by cell key (promote.go).
-	negMu    sync.Mutex
-	negative map[string]int
 	// refineWG lets WaitBackground join the background refinements.
 	refineWG sync.WaitGroup
 	started  time.Time
@@ -168,9 +152,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ColdQueue < 0 {
 		cfg.ColdQueue = 0 // no waiting: shed when every worker is busy
 	}
-	if cfg.NegativeRetries == 0 {
-		cfg.NegativeRetries = 2
-	}
 	if cfg.ObserveRetryAfter <= 0 {
 		cfg.ObserveRetryAfter = time.Second
 	}
@@ -182,10 +163,8 @@ func New(cfg Config) (*Server, error) {
 		handle:   cfg.Handle,
 		metrics:  newMetrics(),
 		feedback: cfg.Feedback,
-		cold:     newAdmission(cfg.ColdWorkers, int64(cfg.ColdQueue)),
-		breaker:  newBreaker(cfg.Breaker, nil),
+		gate:     newRefineGate(cfg.ColdWorkers, cfg.ColdQueue),
 		jitter:   newRetryJitter(cfg.RetryJitterSeed),
-		negative: map[string]int{},
 		started:  time.Now(),
 	}
 	return s, nil
@@ -355,13 +334,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "select", http.StatusOK, resp)
 }
 
-// isTransient reports whether a live-selection error says nothing durable
-// about the cell itself — a cancellation or deadline hit must not be
-// negative-cached, or a transient overload would poison the cell.
-func isTransient(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // observeRetryAfter stamps the /observe Retry-After hint, jittered over
 // [base, 2*base] so shed producers spread their re-offers.
 func (s *Server) observeRetryAfter(w http.ResponseWriter) {
@@ -381,12 +353,9 @@ func fillFromCell(resp *SelectResponse, cell store.Cell, source string, exact bo
 }
 
 // HealthResponse is the /healthz answer. Status walks the health state
-// machine: "healthy", "degraded" (breaker open: every query is still
-// answered, but misses are not refined), "draining" (SIGTERM received) or
-// "no table".
+// machine: "healthy", "draining" (SIGTERM received) or "no table".
 type HealthResponse struct {
 	Status        string    `json:"status"`
-	Breaker       string    `json:"breaker"`
 	Draining      bool      `json:"draining,omitempty"`
 	TableVersion  string    `json:"table_version,omitempty"`
 	TableAgeSec   float64   `json:"table_age_seconds,omitempty"`
@@ -420,10 +389,8 @@ type Coverage struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	state, code := s.healthState()
-	bst, _ := s.breaker.snapshot()
 	resp := HealthResponse{
 		Status:        state,
-		Breaker:       breakerStateName(bst),
 		Draining:      s.Draining(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 	}
@@ -438,7 +405,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		st := s.cfg.Cluster.Stats()
 		resp.Cluster = &st
 	}
-	//collsel:status code comes from healthState, which returns only 200 (healthy/degraded) or 503 (draining/no table) — both in the healthz contract
+	//collsel:status code comes from healthState, which returns only 200 (healthy) or 503 (draining/no table) — both in the healthz contract
 	s.writeJSON(w, "healthz", code, resp)
 }
 
@@ -508,10 +475,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			return "none", 0, 0, s.handle.Swaps()
 		}
 		return t.Version, s.handle.AgeSeconds(), t.Cells(), s.handle.Swaps()
-	}, func() (int, int64, int64) {
-		st, opens := s.breaker.snapshot()
-		return st, opens, s.cold.depth()
-	})
+	}, s.gate.waiting.Load())
 	if s.feedback != nil {
 		renderFeedback(&b, s.metrics, s.feedback.Stats())
 	}

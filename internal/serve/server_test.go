@@ -363,9 +363,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || health.Status != HealthHealthy {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, health)
 	}
-	if health.Breaker != "closed" {
-		t.Fatalf("healthz breaker: %+v", health)
-	}
 	if health.TableVersion != tb.Version || health.TableCells != tb.Cells() || health.Machine != "SimCluster" {
 		t.Fatalf("healthz table info: %+v", health)
 	}
@@ -388,7 +385,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		fmt.Sprintf("collseld_table_info{version=%q} 1", tb.Version),
 		"collseld_table_cells 2",
 		"collseld_table_swaps_total 1",
-		"collseld_breaker_state 0",
 		"collseld_shed_total 0",
 		"collseld_cold_queue_depth 0",
 	} {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-audit lint-sarif test race bench check chaos test-patterns serve-smoke cluster-smoke modelcheck fuzz tools clean
+.PHONY: all build vet lint lint-audit lint-sarif test race bench check chaos chaos-serve chaos-feedback chaos-cluster test-patterns serve-smoke cluster-smoke modelcheck fuzz tools clean
 
 all: check
 
@@ -48,10 +48,19 @@ check: build vet lint test race
 # recompile-vs-reload swap races and WAL crash recovery — all under the
 # race detector, with a goroutine-leak check per scenario. `build` is the
 # shared prerequisite with serve-smoke, so CI jobs never repeat ad-hoc
-# build steps.
+# build steps. The three steps run under `make -k`: a failing step does not
+# stop the others, make names every step that failed, and chaos exits
+# non-zero if any did.
 chaos: build
+	$(MAKE) -k chaos-serve chaos-feedback chaos-cluster
+
+chaos-serve:
 	$(GO) test -race -run 'TestChaos|TestNegativeColdCaching|TestDrainStateMachine' -count=1 -v ./internal/serve
+
+chaos-feedback:
 	$(GO) test -race -run 'TestPipeline|TestWAL|TestOfferBackpressureAndClose' -count=1 -v ./internal/feedback
+
+chaos-cluster:
 	$(GO) test -race -count=1 -v ./internal/cluster
 
 # Fail when a -run/-bench/-fuzz pattern in this Makefile or the CI
@@ -65,9 +74,10 @@ test-patterns:
 serve-smoke: tools
 	BIN_DIR=$(CURDIR)/bin ./scripts/serve_smoke.sh
 
-# Three-replica failover smoke test: boot a peer ring, drive mixed load,
-# SIGKILL one replica mid-stream, and assert zero client-visible errors
-# plus a winning hedge and a demoted peer in /healthz.
+# Three-replica failover smoke test: boot a peer ring, SIGKILL one
+# replica, drive mixed load, and assert zero client-visible errors, at
+# least one forward the survivors answered locally because the owner was
+# gone, and the corpse demoted to dead in /healthz.
 cluster-smoke: tools
 	BIN_DIR=$(CURDIR)/bin ./scripts/cluster_smoke.sh
 

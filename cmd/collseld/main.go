@@ -24,11 +24,12 @@
 // the flag /observe answers 404 and the daemon behaves exactly as before.
 //
 // -peers enables replication: the replicas consistent-hash the uncovered-cell
-// keyspace among themselves, forward uncovered queries to the owning
-// replica (hedging to the next one after -hedge-delay, capped by
-// -retry-budget), gossip refined cells over POST /peer/cell, and track
-// each other's liveness with -heartbeat probes. Every failure falls back
-// to the local miss path — peers speed answers up, never gate them.
+// keyspace among themselves, forward an uncovered query to the owning
+// replica in one attempt under a fixed 50ms deadline, gossip refined cells
+// over POST /peer/cell, and track each other's liveness with -heartbeat
+// probes. A failed or timed-out forward is answered by the local miss path
+// and demotes the owner until a heartbeat restores it — peers speed
+// answers up, never gate them.
 // Artifact saves retain the previous file as <store>.bak; startup and
 // /reload recover from it when the primary is corrupt.
 //
@@ -67,7 +68,7 @@ func main() {
 	coldWorkers := flag.Int("cold-workers", 2, "max concurrent background refinements (live selections) of uncovered cells")
 	noCold := flag.Bool("no-cold", false, "never simulate: answer uncovered queries from the model or the nearest cell without refining them")
 	coldQueue := flag.Int("cold-queue", 8, "refinements allowed to wait for a worker; excess refinements are shed (negative: no waiting)")
-	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "deadline for one refinement's live selection (from when it holds a worker) or one peer forward, enforced down into the simulation workers (0 disables)")
+	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "deadline for one refinement's live selection (from when it holds a worker), enforced down into the simulation workers (0 disables)")
 	observeRetryAfter := flag.Duration("observe-retry-after", time.Second, "Retry-After hint on shed /observe batches (429); tune to the observation producers' batching period")
 	drainWait := flag.Duration("drain", 10*time.Second, "grace period between SIGTERM (healthz flips to draining) and shutdown")
 	observeWAL := flag.String("observe-wal", "", "directory for the /observe write-ahead log; empty disables the feedback loop")
@@ -76,10 +77,8 @@ func main() {
 	recompileBackoff := flag.Duration("recompile-backoff", 500*time.Millisecond, "base retry delay after a failed recompilation (doubles per failure, capped)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica (including this one); empty disables clustering")
 	self := flag.String("self", "", "this replica's own base URL as it appears in -peers (required with -peers)")
-	hedgeDelay := flag.Duration("hedge-delay", 50*time.Millisecond, "wait on the owning replica before hedging a forwarded uncovered query to the next one")
-	retryBudget := flag.Float64("retry-budget", cluster.DefaultRetryBudget, "fraction of forwarded requests allowed to hedge or retry (the anti-retry-storm cap)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "peer liveness probe interval")
-	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "per-call timeout for peer HTTP requests (forwards, probes, shares)")
+	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "per-call timeout for peer probes and shares (a forward has its own 50ms deadline)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "collseld: ", log.LstdFlags)
@@ -130,19 +129,16 @@ func main() {
 			cliutil.Fatal("collseld", fmt.Errorf("-peers requires -self (this replica's URL as listed in -peers)"))
 		}
 		clu, err = cluster.New(cluster.Config{
-			Self:        *self,
-			Peers:       peerList,
-			HedgeDelay:  *hedgeDelay,
-			RetryBudget: *retryBudget,
-			Health:      cluster.HealthConfig{Interval: *heartbeat},
-			Transport:   cluster.NewHTTPTransport(*peerTimeout),
-			Logf:        logger.Printf,
+			Self:      *self,
+			Peers:     peerList,
+			Health:    cluster.HealthConfig{Interval: *heartbeat},
+			Transport: cluster.NewHTTPTransport(*peerTimeout),
+			Logf:      logger.Printf,
 		})
 		if err != nil {
 			cliutil.Fatal("collseld", err)
 		}
-		logger.Printf("clustering enabled: self %s, %d replicas, hedge after %s, retry budget %.0f%%",
-			*self, len(peerList), *hedgeDelay, *retryBudget*100)
+		logger.Printf("clustering enabled: self %s, %d replicas", *self, len(peerList))
 	}
 
 	srv, err := serve.New(serve.Config{

@@ -20,48 +20,33 @@ type Config struct {
 	Peers []string
 	// VNodes is the virtual-node count per peer (default DefaultVNodes).
 	VNodes int
-	// HedgeDelay is how long a forwarded cold query waits on the owner
-	// before launching a second attempt at the next replica on the ring
-	// (default 50ms). The loser is canceled.
-	HedgeDelay time.Duration
-	// RetryBudget bounds hedges+retries to this fraction of forwarded
-	// requests (default DefaultRetryBudget); BudgetBurst caps banked
-	// budget (default DefaultBudgetBurst).
-	RetryBudget float64
-	BudgetBurst float64
 	// ShareQueue bounds cold results waiting to be gossiped to peers;
 	// excess shares are dropped, never queued unboundedly (default 64).
 	ShareQueue int
 	// ShareTimeout bounds one peer's share delivery (default 2s).
 	ShareTimeout time.Duration
-	// Health parameterizes the peer health machine.
+	// Health parameterizes the peer health machine; its Clock also paces
+	// the heartbeat loop.
 	Health HealthConfig
 	// Transport speaks to peers (default: HTTPTransport with a 5s call
 	// timeout). Tests inject fakes.
 	Transport Transport
-	// Clock drives hedge timers (default: the real clock; Health has its
-	// own, normally the same instance).
-	Clock Clock
 	// Logf, when non-nil, receives one line per peer state change of note.
 	Logf func(format string, args ...any)
 }
 
-// Cluster wires the ring, the health machine, the budget and the
-// transport into the two operations the serving layer needs: Forward (a
-// hedged, budgeted cold-query forward to the cell's owner) and ShareAsync
-// (gossiping a locally simulated cell to the other replicas).
+// Cluster wires the ring, the health machine and the transport into the
+// two operations the serving layer needs: Forward (one deadline-bounded
+// cold-query forward to the cell's owner) and ShareAsync (gossiping a
+// locally simulated cell to the other replicas).
 type Cluster struct {
 	cfg    Config
 	ring   *Ring
 	health *Health
-	budget *Budget
 	tr     Transport
-	clock  Clock
 
 	forwards         atomic.Int64 // forward attempts routed to an owner
-	forwardErrors    atomic.Int64 // forwards where every attempt failed
-	hedges           atomic.Int64 // secondary attempts actually launched
-	hedgeWins        atomic.Int64 // forwards won by the secondary attempt
+	forwardErrors    atomic.Int64 // forwards that failed (answered locally)
 	ownerUnavailable atomic.Int64 // forwards refused: owner suspect/dead
 	sharesSent       atomic.Int64
 	shareErrors      atomic.Int64
@@ -105,30 +90,20 @@ func New(cfg Config) (*Cluster, error) {
 	if !selfKnown {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v", cfg.Self, ring.Peers())
 	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = 50 * time.Millisecond
-	}
 	if cfg.ShareQueue <= 0 {
 		cfg.ShareQueue = 64
 	}
 	if cfg.ShareTimeout <= 0 {
 		cfg.ShareTimeout = 2 * time.Second
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock()
-	}
-	if cfg.Health.Clock == nil {
-		cfg.Health.Clock = cfg.Clock
-	}
+	cfg.Health.fill()
 	if cfg.Transport == nil {
 		cfg.Transport = NewHTTPTransport(0)
 	}
 	c := &Cluster{
 		cfg:     cfg,
 		ring:    ring,
-		budget:  NewBudget(cfg.RetryBudget, cfg.BudgetBurst),
 		tr:      cfg.Transport,
-		clock:   cfg.Clock,
 		shareCh: make(chan []byte, cfg.ShareQueue),
 	}
 	c.health = NewHealth(others, func(ctx context.Context, peer string) error {
@@ -169,7 +144,7 @@ func (c *Cluster) Start() {
 			select {
 			case <-c.baseCtx.Done():
 				return
-			case <-c.clock.After(c.cfg.Health.Interval):
+			case <-c.cfg.Health.Clock.After(c.cfg.Health.Interval):
 				c.health.ProbeOnce(c.baseCtx)
 			}
 		}
@@ -195,29 +170,24 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-// attempt is one forward attempt's outcome.
-type attempt struct {
-	peer   string
-	status int
-	body   []byte
-	err    error
-	hedged bool
-}
+// forwardTimeout bounds the one attempt a forward makes. The local miss
+// path answers in microseconds, so a peer answer is only worth waiting
+// for briefly; past this deadline the caller answers locally.
+const forwardTimeout = 50 * time.Millisecond
 
-// Result is a won forward: the owning (or hedged) peer's verbatim /select
-// response body.
+// Result is a won forward: the owning peer's verbatim /select response
+// body.
 type Result struct {
-	Peer     string
-	Body     []byte
-	HedgeWin bool
+	Peer string
+	Body []byte
 }
 
-// Forward routes one cold query to the owner of key, hedging to the next
-// alive replica on the ring after HedgeDelay (or immediately, as a retry,
-// when the owner's attempt fails fast) — both secondary forms draw from
-// the same global budget. The first 200 wins and the loser's attempt is
-// canceled. Any terminal error means "answer locally": the caller's miss
-// path is the fallback of last resort and is always available.
+// Forward routes one cold query to the owner of key: a single transport
+// attempt under forwardTimeout. Any error means "answer locally": the
+// caller's miss path is the fallback of last resort and is always
+// available. A transport failure, including the deadline, is evidence
+// against the owner and demotes it until a heartbeat restores it; an HTTP
+// error status is a delivered (if unusable) answer and counts as life.
 func (c *Cluster) Forward(ctx context.Context, key, collective string, procs, msgBytes int) (Result, error) {
 	owner := c.ring.Owner(key)
 	if owner == c.cfg.Self {
@@ -228,87 +198,26 @@ func (c *Cluster) Forward(ctx context.Context, key, collective string, procs, ms
 		return Result{}, ErrOwnerUnavailable
 	}
 	c.forwards.Add(1)
-	c.budget.OnRequest()
-
-	// The hedge candidate is the next alive replica after the owner on the
-	// ring, excluding self — deterministic, so every replica hedges a given
-	// key to the same place.
-	hedgePeer := ""
-	for _, p := range c.ring.Successors(key, len(c.ring.Peers()))[1:] {
-		if p != c.cfg.Self && c.health.State(p) == StateAlive {
-			hedgePeer = p
-			break
+	fctx, cancel := context.WithTimeout(ctx, forwardTimeout)
+	status, body, err := c.tr.Select(fctx, owner, collective, procs, msgBytes)
+	cancel()
+	if err != nil {
+		// The caller's own cancellation says nothing about the owner.
+		if ctx.Err() == nil {
+			c.health.MarkFailure(owner)
 		}
+		c.forwardErrors.Add(1)
+		return Result{}, err
 	}
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the losing attempt
-	results := make(chan attempt, 2)
-	launch := func(peer string, hedged bool) {
-		//collsel:goroutine per-attempt worker: bounded to two per forward, unblocked by the buffered results channel, canceled via fctx when the forward returns
-		go func() {
-			status, body, err := c.tr.Select(fctx, peer, collective, procs, msgBytes)
-			results <- attempt{peer: peer, status: status, body: body, err: err, hedged: hedged}
-		}()
+	c.health.MarkSuccess(owner)
+	if status != http.StatusOK {
+		// The owner answered but could not serve the cell (shed, draining,
+		// failed selection): the local fallback decides what the client
+		// sees.
+		c.forwardErrors.Add(1)
+		return Result{}, fmt.Errorf("cluster: peer %s answered %d", owner, status)
 	}
-	launch(owner, false)
-	outstanding := 1
-	hedged := false
-	tryHedge := func() {
-		if hedged || hedgePeer == "" {
-			return
-		}
-		hedged = true // one secondary attempt per forward, granted or not
-		if !c.budget.TryHedge() {
-			return
-		}
-		c.hedges.Add(1)
-		launch(hedgePeer, true)
-		outstanding++
-	}
-
-	var hedgeTimer <-chan time.Time
-	if hedgePeer != "" {
-		hedgeTimer = c.clock.After(c.cfg.HedgeDelay)
-	}
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case a := <-results:
-			outstanding--
-			if a.err != nil {
-				// Transport-level failure: evidence against the peer, and
-				// grounds for an immediate (budgeted) retry.
-				c.health.MarkFailure(a.peer)
-				lastErr = a.err
-				tryHedge()
-				continue
-			}
-			c.health.MarkSuccess(a.peer)
-			if a.status == http.StatusOK {
-				if a.hedged {
-					c.hedgeWins.Add(1)
-				}
-				return Result{Peer: a.peer, Body: a.body, HedgeWin: a.hedged}, nil
-			}
-			// The peer answered but could not serve the cell (shed,
-			// draining, failed selection): the answer is unusable here,
-			// the local fallback decides what the client sees.
-			lastErr = fmt.Errorf("cluster: peer %s answered %d", a.peer, a.status)
-			tryHedge()
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			tryHedge()
-		case <-ctx.Done():
-			c.forwardErrors.Add(1)
-			return Result{}, ctx.Err()
-		}
-	}
-	c.forwardErrors.Add(1)
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: no forward attempt completed")
-	}
-	return Result{}, lastErr
+	return Result{Peer: owner, Body: body}, nil
 }
 
 // ShareAsync queues one promoted-cell payload for delivery to every other
@@ -347,11 +256,8 @@ func (c *Cluster) deliverShare(payload []byte) {
 type Stats struct {
 	Self             string         `json:"self"`
 	Peers            []PeerSnapshot `json:"peers"`
-	Budget           BudgetSnapshot `json:"budget"`
 	Forwards         int64          `json:"forwards"`
 	ForwardErrors    int64          `json:"forward_errors"`
-	Hedges           int64          `json:"hedges"`
-	HedgeWins        int64          `json:"hedge_wins"`
 	OwnerUnavailable int64          `json:"owner_unavailable"`
 	SharesSent       int64          `json:"shares_sent"`
 	ShareErrors      int64          `json:"share_errors"`
@@ -363,11 +269,8 @@ func (c *Cluster) Stats() Stats {
 	return Stats{
 		Self:             c.cfg.Self,
 		Peers:            c.health.Snapshot(),
-		Budget:           c.budget.Snapshot(),
 		Forwards:         c.forwards.Load(),
 		ForwardErrors:    c.forwardErrors.Load(),
-		Hedges:           c.hedges.Load(),
-		HedgeWins:        c.hedgeWins.Load(),
 		OwnerUnavailable: c.ownerUnavailable.Load(),
 		SharesSent:       c.sharesSent.Load(),
 		ShareErrors:      c.shareErrors.Load(),

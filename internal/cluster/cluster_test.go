@@ -10,40 +10,16 @@ import (
 	"time"
 )
 
-// fakeClock is the deterministic time source: Now is advanced manually and
-// After returns channels the test fires explicitly.
-type fakeClock struct {
-	mu     sync.Mutex
-	t      time.Time
-	timers []chan time.Time
-}
+// fakeClock is the deterministic time source: Now stands still and After
+// never fires, so the heartbeat loop only probes when a test calls
+// ProbeOnce.
+type fakeClock struct{ t time.Time }
 
 func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
+func (c *fakeClock) Now() time.Time { return c.t }
 
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	c.timers = append(c.timers, ch)
-	return ch
-}
-
-// fire releases every outstanding After channel (the hedge timers).
-func (c *fakeClock) fire() {
-	c.mu.Lock()
-	timers := c.timers
-	c.timers = nil
-	c.mu.Unlock()
-	for _, ch := range timers {
-		ch <- time.Time{}
-	}
-}
+func (c *fakeClock) After(d time.Duration) <-chan time.Time { return make(chan time.Time) }
 
 // fakeTransport scripts peer behavior per peer name.
 type fakeTransport struct {
@@ -53,7 +29,6 @@ type fakeTransport struct {
 	behavior map[string]string
 	selects  map[string]int
 	shares   map[string][][]byte
-	released chan struct{} // closed hang-attempts signal through here
 }
 
 func newFakeTransport() *fakeTransport {
@@ -70,6 +45,17 @@ func (f *fakeTransport) selectCount(peer string) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.selects[peer]
+}
+
+// totalSelects counts forward attempts across every peer.
+func (f *fakeTransport) totalSelects() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, v := range f.selects {
+		n += v
+	}
+	return n
 }
 
 func (f *fakeTransport) Select(ctx context.Context, peer, collective string, procs, msgBytes int) (int, []byte, error) {
@@ -116,8 +102,7 @@ func newTestCluster(t *testing.T, self string, tr Transport, clk Clock) *Cluster
 		Self:      self,
 		Peers:     testPeers,
 		Transport: tr,
-		Clock:     clk,
-		Health:    HealthConfig{Interval: time.Second, SuspectAfter: 1, DeadAfter: 3},
+		Health:    HealthConfig{Interval: time.Second, SuspectAfter: 1, DeadAfter: 3, Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +111,7 @@ func newTestCluster(t *testing.T, self string, tr Transport, clk Clock) *Cluster
 	return c
 }
 
-// ownedBy finds a key owned by peer with hedge candidate != self, from
-// self's perspective.
+// ownedBy finds a key owned by peer.
 func ownedBy(t *testing.T, c *Cluster, owner string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
@@ -148,12 +132,12 @@ func TestForwardOwnerWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Peer != testPeers[1] || res.HedgeWin {
-		t.Fatalf("result %+v, want owner %s, no hedge win", res, testPeers[1])
+	if res.Peer != testPeers[1] {
+		t.Fatalf("result %+v, want owner %s", res, testPeers[1])
 	}
 	st := c.Stats()
-	if st.Forwards != 1 || st.Hedges != 0 || st.HedgeWins != 0 {
-		t.Fatalf("stats %+v", st)
+	if st.Forwards != 1 || st.ForwardErrors != 0 || tr.totalSelects() != 1 {
+		t.Fatalf("stats %+v after %d attempts, want one clean forward", st, tr.totalSelects())
 	}
 }
 
@@ -165,64 +149,71 @@ func TestForwardSelfOwned(t *testing.T) {
 	}
 }
 
-// TestForwardHedgeOnSlowOwner pins the hedge path deterministically: the
-// owner hangs, the fake clock fires the hedge timer, the secondary answers
-// and wins, and the hanging attempt is canceled (no goroutine leak — the
-// hang unblocks via the forward's canceled context).
+// TestForwardHedgeOnSlowOwner: a hung owner costs a forward at most
+// forwardTimeout. The one attempt ends in a deadline error, its hung
+// transport call is canceled through the attempt's context before Forward
+// returns, no other peer is tried, and the owner is demoted.
 func TestForwardHedgeOnSlowOwner(t *testing.T) {
 	tr := newFakeTransport()
-	clk := newFakeClock()
-	c := newTestCluster(t, testPeers[0], tr, clk)
+	c := newTestCluster(t, testPeers[0], tr, newFakeClock())
 	key := ownedBy(t, c, testPeers[1])
 	tr.set(testPeers[1], "hang")
 
-	done := make(chan struct{})
-	var res Result
-	var ferr error
-	go func() {
-		defer close(done)
-		res, ferr = c.Forward(context.Background(), key, "alltoall", 8, 1024)
-	}()
-	// Wait for the primary attempt to be in flight, then fire the hedge
-	// timer.
-	for i := 0; tr.selectCount(testPeers[1]) == 0; i++ {
-		if i > 1000 {
-			t.Fatal("primary attempt never launched")
-		}
-		time.Sleep(time.Millisecond)
+	start := time.Now()
+	_, err := c.Forward(context.Background(), key, "alltoall", 8, 1024)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err %v, want the forward deadline", err)
 	}
-	clk.fire()
-	<-done
-	if ferr != nil {
-		t.Fatal(ferr)
+	if elapsed < forwardTimeout || elapsed > forwardTimeout+time.Second {
+		t.Fatalf("forward took %v, want about %v", elapsed, forwardTimeout)
 	}
-	if res.Peer != testPeers[2] || !res.HedgeWin {
-		t.Fatalf("result %+v, want hedge win by %s", res, testPeers[2])
+	if got := tr.totalSelects(); got != 1 {
+		t.Fatalf("%d attempts, want exactly one", got)
 	}
-	st := c.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats %+v, want 1 hedge, 1 win", st)
+	if got := c.health.State(testPeers[1]); got != StateSuspect {
+		t.Fatalf("owner state %s after a timed-out forward, want suspect", got)
+	}
+	if st := c.Stats(); st.Forwards != 1 || st.ForwardErrors != 1 {
+		t.Fatalf("stats %+v, want one failed forward", st)
 	}
 }
 
 // TestForwardRetriesOnFastFailure: a transport-level failure of the owner
-// immediately launches the (budgeted) secondary without waiting for the
-// hedge timer, and the failure is recorded against the owner's health.
+// is final. No second peer is tried; the caller answers locally and the
+// failure is recorded against the owner's health.
 func TestForwardRetriesOnFastFailure(t *testing.T) {
 	tr := newFakeTransport()
 	c := newTestCluster(t, testPeers[0], tr, newFakeClock())
 	key := ownedBy(t, c, testPeers[1])
 	tr.set(testPeers[1], "error")
 
-	res, err := c.Forward(context.Background(), key, "alltoall", 8, 1024)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.Forward(context.Background(), key, "alltoall", 8, 1024); err == nil {
+		t.Fatal("forward to an unreachable owner succeeded")
 	}
-	if res.Peer != testPeers[2] || !res.HedgeWin {
-		t.Fatalf("result %+v, want retry win by %s", res, testPeers[2])
+	if got := tr.totalSelects(); got != 1 {
+		t.Fatalf("%d attempts, want exactly one", got)
 	}
 	if got := c.health.State(testPeers[1]); got != StateSuspect {
 		t.Fatalf("owner state %s after failed forward, want suspect", got)
+	}
+}
+
+// TestForwardCallerCancelSparesOwner: a forward cut short by the caller's
+// own context (a client that went away) is no evidence against the owner.
+func TestForwardCallerCancelSparesOwner(t *testing.T) {
+	tr := newFakeTransport()
+	c := newTestCluster(t, testPeers[0], tr, newFakeClock())
+	key := ownedBy(t, c, testPeers[1])
+	tr.set(testPeers[1], "hang")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Forward(ctx, key, "alltoall", 8, 1024); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want the caller's cancellation", err)
+	}
+	if got := c.health.State(testPeers[1]); got != StateAlive {
+		t.Fatalf("owner state %s after the caller canceled, want alive", got)
 	}
 }
 
@@ -246,65 +237,14 @@ func TestForwardOwnerUnavailableShortCircuits(t *testing.T) {
 	}
 }
 
-// TestForwardBudgetCapsRetries is the retry-storm guard: with every peer
-// failing transport-level, secondary attempts must stay within the
-// configured fraction of forwards (plus the banked burst) — failover can
-// never amplify into a storm.
-func TestForwardBudgetCapsRetries(t *testing.T) {
-	tr := newFakeTransport()
-	clk := newFakeClock()
-	c, err := New(Config{
-		Self:        testPeers[0],
-		Peers:       testPeers,
-		Transport:   tr,
-		Clock:       clk,
-		RetryBudget: 0.10,
-		BudgetBurst: 1,
-		// DeadAfter high enough that the owner stays suspect (not dead) and
-		// forwards keep being attempted... except Forward refuses non-alive
-		// owners. Mark successes between rounds instead.
-		Health: HealthConfig{Interval: time.Second, SuspectAfter: 1000, DeadAfter: 1001},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tr.set(testPeers[1], "error")
-	tr.set(testPeers[2], "error")
-
-	key := ownedBy(t, c, testPeers[1])
-	const rounds = 100
-	for i := 0; i < rounds; i++ {
-		if _, err := c.Forward(context.Background(), key, "alltoall", 8, 1024); err == nil {
-			t.Fatal("forward succeeded with every peer failing")
-		}
-	}
-	st := c.Stats()
-	if st.Forwards != rounds {
-		t.Fatalf("forwards %d, want %d", st.Forwards, rounds)
-	}
-	maxSecondary := int64(0.10*rounds) + 1 // ratio*requests + initial/banked burst
-	if st.Hedges > maxSecondary {
-		t.Fatalf("hedges %d exceed the budget cap %d (budget %+v)", st.Hedges, maxSecondary, st.Budget)
-	}
-	if st.Budget.Denied == 0 {
-		t.Fatal("budget never denied a hedge despite exhaustion")
-	}
-	if st.ForwardErrors != rounds {
-		t.Fatalf("forwardErrors %d, want %d", st.ForwardErrors, rounds)
-	}
-}
-
 // TestForwardPeerErrorStatusFallsThrough: an HTTP error from the owner is
-// a delivered answer (the peer is alive) but unusable — the forward hedges
-// and, if the hedge also errors, reports failure so the caller answers
-// locally.
+// a delivered answer (the peer is alive) but unusable — the forward
+// reports failure so the caller answers locally.
 func TestForwardPeerErrorStatusFallsThrough(t *testing.T) {
 	tr := newFakeTransport()
 	c := newTestCluster(t, testPeers[0], tr, newFakeClock())
 	key := ownedBy(t, c, testPeers[1])
 	tr.set(testPeers[1], "status:503")
-	tr.set(testPeers[2], "status:503")
 
 	if _, err := c.Forward(context.Background(), key, "alltoall", 8, 1024); err == nil {
 		t.Fatal("forward served a 503 peer body as a win")
@@ -408,7 +348,7 @@ func TestShareSkipsDeadAndDropsWhenFull(t *testing.T) {
 		Self:       testPeers[0],
 		Peers:      testPeers,
 		Transport:  tr,
-		Clock:      newFakeClock(),
+		Health:     HealthConfig{Clock: newFakeClock()},
 		ShareQueue: 1,
 	})
 	if err != nil {
@@ -446,43 +386,5 @@ func TestNewValidatesMembership(t *testing.T) {
 	}
 	if _, err := New(Config{Self: "a", Peers: []string{"a"}}); err != nil {
 		t.Fatalf("single-replica cluster rejected: %v", err)
-	}
-}
-
-// TestBudgetDeterministic pins the bucket arithmetic: ratio 0.5, burst 1
-// admits exactly every other hedge once the initial token is spent.
-func TestBudgetDeterministic(t *testing.T) {
-	b := NewBudget(0.5, 1)
-	got := ""
-	for i := 0; i < 8; i++ {
-		b.OnRequest()
-		if b.TryHedge() {
-			got += "H"
-		} else {
-			got += "."
-		}
-	}
-	// tokens: start 1; each request +0.5 capped at 1.
-	// r1: 1→hedge(0.5 left... careful) — pin whatever the sequence is and
-	// assert it is stable and within the cap instead of hand-deriving.
-	b2 := NewBudget(0.5, 1)
-	got2 := ""
-	for i := 0; i < 8; i++ {
-		b2.OnRequest()
-		if b2.TryHedge() {
-			got2 += "H"
-		} else {
-			got2 += "."
-		}
-	}
-	if got != got2 {
-		t.Fatalf("budget sequence not deterministic: %q vs %q", got, got2)
-	}
-	snap := b.Snapshot()
-	if snap.Granted > int64(0.5*8)+1 {
-		t.Fatalf("granted %d exceeds ratio*requests+burst", snap.Granted)
-	}
-	if snap.Requests != 8 {
-		t.Fatalf("requests %d, want 8", snap.Requests)
 	}
 }

@@ -1,16 +1,16 @@
 // Package cluster is the replication layer of the serving tier: a static
 // peer list consistent-hashed over the (collective, procs, size-bin,
 // factor) cell keyspace, a heartbeat-driven peer health state machine
-// (alive → suspect → dead), hedged cold-query forwarding under a global
-// retry/hedge budget, and peer cold-result sharing.
+// (alive → suspect → dead), cold-query forwarding to the cell's owner as
+// one deadline-bounded attempt, and peer cold-result sharing.
 //
 // The layer is an optimization, never a dependency: every routing decision
 // degrades to "answer locally through the existing miss path" when the
-// owner is suspect, dead, partitioned or the budget is spent, so a failed
-// replica can slow answers down but can never turn into a client-visible
-// failure. All state transitions run on an injectable clock and every
-// collaborator (transport, prober) is a seam, so the whole failover story
-// is tested deterministically.
+// owner is suspect, dead, partitioned or slower than the forward deadline,
+// so a failed replica can slow an answer by at most that deadline but can
+// never turn into a client-visible failure. Health transitions run on an
+// injectable clock and every collaborator (transport, prober) is a seam,
+// so the whole failover story is tested deterministically.
 package cluster
 
 import (
@@ -79,25 +79,6 @@ func (r *Ring) Peers() []string { return r.peers }
 // Owner returns the peer owning key.
 func (r *Ring) Owner(key string) string {
 	return r.points[r.at(hash64(key))].peer
-}
-
-// Successors returns up to n distinct peers in ring order starting at the
-// key's owner: the owner first, then the failover candidates in the order
-// hedged forwards should try them.
-func (r *Ring) Successors(key string, n int) []string {
-	if n > len(r.peers) {
-		n = len(r.peers)
-	}
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	for i := r.at(hash64(key)); len(out) < n; i = (i + 1) % len(r.points) {
-		p := r.points[i].peer
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // at finds the index of the first point at or after h, wrapping.

@@ -41,30 +41,6 @@ func TestRingSpreadsKeys(t *testing.T) {
 	}
 }
 
-func TestRingSuccessorsDistinctAndOwnerFirst(t *testing.T) {
-	r, err := NewRing(testPeers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		succ := r.Successors(key, 3)
-		if len(succ) != 3 {
-			t.Fatalf("key %q: %d successors, want 3", key, len(succ))
-		}
-		if succ[0] != r.Owner(key) {
-			t.Fatalf("key %q: successor[0] %s != owner %s", key, succ[0], r.Owner(key))
-		}
-		seen := map[string]bool{}
-		for _, p := range succ {
-			if seen[p] {
-				t.Fatalf("key %q: duplicate successor %s", key, p)
-			}
-			seen[p] = true
-		}
-	}
-}
-
 func TestRingRejectsBadMembership(t *testing.T) {
 	if _, err := NewRing(nil, 0); err == nil {
 		t.Fatal("empty peer list accepted")

@@ -41,8 +41,8 @@ type HTTPTransport struct {
 }
 
 // NewHTTPTransport builds the production transport. timeout bounds every
-// single peer call (a hedge must be able to outrun a stuck peer; the
-// per-request context still applies on top).
+// single peer call (probes and shares; a forward's own, much shorter
+// deadline applies on top through its context).
 func NewHTTPTransport(timeout time.Duration) *HTTPTransport {
 	if timeout <= 0 {
 		timeout = 5 * time.Second

@@ -1,15 +1,19 @@
 package serve
 
 // Cluster chaos: the replication layer's failure modes — a killed
-// replica, a partition that heals, every peer dead at once — injected
-// against real HTTP replicas, asserting the client-visible contract:
-// zero 5xx (the local miss path always answers), hedges that actually win,
-// a retry budget that holds even when every attempt fails, and no leaked
+// replica, a hung owner, a partition that heals, every peer dead at once —
+// injected against real HTTP replicas, asserting the client-visible
+// contract: zero 5xx (the local miss path always answers), a forward that
+// costs at most its deadline and makes exactly one attempt, and no leaked
 // goroutines. Run via `make chaos` (also part of the ordinary suite).
 
 import (
+	"context"
+	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"collsel/internal/cluster"
 	"collsel/internal/coll"
@@ -17,9 +21,10 @@ import (
 
 // TestChaosClusterKillReplica kills one of three replicas and drives
 // mixed load (covered + uncovered cells) through the survivors: every
-// response must stay 200, at least one hedge must win (the killed owner
-// fails fast, the budgeted retry answers), and the dead peer must be
-// marked down so later forwards short-circuit to the local miss path.
+// response must stay 200, every uncovered cell the corpse owns must be
+// answered locally (its forward fails fast, the model answers), and the
+// dead peer must be marked down so later forwards short-circuit to the
+// local miss path.
 func TestChaosClusterKillReplica(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
@@ -39,6 +44,7 @@ func TestChaosClusterKillReplica(t *testing.T) {
 	// Mixed load against the survivors: covered table hits plus uncovered
 	// cells owned across the (now partly dead) ring. Distinct procs make
 	// every uncovered query a fresh cell that no earlier promotion covers.
+	local := 0
 	for i := 0; i < 20; i++ {
 		target := reps[1+i%2]
 		var req SelectRequest
@@ -51,6 +57,16 @@ func TestChaosClusterKillReplica(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("request %d after kill: HTTP %d (source %q) — replica death must never surface as an error", i, code, resp.Source)
 		}
+		key := cluster.CellKey("alltoall", req.Procs, req.MsgBytes, tb.Factor)
+		if owner, _ := target.cl.Route(key); owner == reps[0].ts.URL && resp.Source != "table" {
+			if resp.Source != "model" {
+				t.Fatalf("request %d owned by the corpse: source %q, want a local model answer", i, resp.Source)
+			}
+			local++
+		}
+	}
+	if local == 0 {
+		t.Fatal("no uncovered query routed to the killed owner; widen the sweep")
 	}
 
 	// The killed peer's failures are evidence: drive each survivor with
@@ -70,10 +86,57 @@ func TestChaosClusterKillReplica(t *testing.T) {
 			t.Fatalf("replica %s still considers the killed peer alive after 200 fresh cells", r.ts.URL)
 		}
 	}
-	wins := metricValue(t, reps[1].ts.URL, "collseld_cluster_hedge_wins_total") +
-		metricValue(t, reps[2].ts.URL, "collseld_cluster_hedge_wins_total")
-	if wins < 1 {
-		t.Fatalf("no hedge ever won after the kill (wins=%g)", wins)
+}
+
+// TestChaosClusterHungOwner: an owner that accepts forwards but never
+// answers them, while still passing its heartbeats, costs a /select at
+// most the forward deadline (50ms in internal/cluster) plus slack — both
+// in a 2-replica ring and in a 3-replica ring with another live peer. The
+// answer is the local model estimate, the owner is demoted to suspect,
+// and the next heartbeat restores it.
+func TestChaosClusterHungOwner(t *testing.T) {
+	const bound = 50*time.Millisecond + 450*time.Millisecond // forward deadline plus slack, far below the 2s transport timeout
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%d-replicas", n), func(t *testing.T) {
+			leakCheck(t)
+			tb := compileTiny(t, 1)
+			reps := newServeCluster(t, n, false, func(i int, cfg *Config) {
+				cfg.Cold = stubCold(tb)
+			}, nil)
+			procs, msg := uncoveredOwnedBy(t, reps, 0)
+
+			// Runs before the servers close (cleanups are LIFO), so no
+			// hung handler outlives the test.
+			release := make(chan struct{})
+			t.Cleanup(func() { close(release) })
+			reps[0].ts.Config.Handler.(*swapHandler).set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/select" {
+					select {
+					case <-r.Context().Done():
+					case <-release:
+					}
+					return
+				}
+				w.WriteHeader(http.StatusOK) // /healthz: alive to the heartbeat
+			}))
+
+			start := time.Now()
+			resp, code := postSelect(t, reps[1].ts.URL, SelectRequest{Collective: "alltoall", MsgBytes: msg, Procs: procs})
+			if elapsed := time.Since(start); elapsed > bound {
+				t.Fatalf("select behind a hung owner took %v, want at most %v", elapsed, bound)
+			}
+			if code != http.StatusOK || resp.Source != "model" {
+				t.Fatalf("select behind a hung owner: HTTP %d source %q, want a local model answer", code, resp.Source)
+			}
+			h := reps[1].cl.HealthTracker()
+			if st := h.State(reps[0].ts.URL); st != cluster.StateSuspect {
+				t.Fatalf("hung owner state %v after a timed-out forward, want suspect", st)
+			}
+			h.ProbeOnce(t.Context())
+			if st := h.State(reps[0].ts.URL); st != cluster.StateAlive {
+				t.Fatalf("hung owner state %v after a good heartbeat, want alive", st)
+			}
+		})
 	}
 }
 
@@ -131,20 +194,35 @@ func TestChaosClusterPartitionHeal(t *testing.T) {
 	t.Fatal("no key owned by the healed replica found")
 }
 
-// TestChaosHedgeBudgetCap pins the retry-storm bound with every peer
-// dead but still believed alive (the worst case: each forward burns its
-// full attempt sequence). The number of hedges launched must never
-// exceed the budget — one banked token plus one tenth of the forwards —
-// no matter how many requests fail, and every client still gets a 200
-// from the local miss path.
+// countingTransport counts forward attempts on top of a real transport.
+type countingTransport struct {
+	cluster.Transport
+	selects atomic.Int64
+}
+
+func (c *countingTransport) Select(ctx context.Context, peer, collective string, procs, msgBytes int) (int, []byte, error) {
+	c.selects.Add(1)
+	return c.Transport.Select(ctx, peer, collective, procs, msgBytes)
+}
+
+// TestChaosHedgeBudgetCap pins the attempt bound with every peer dead but
+// still believed alive (the worst case: no forward is short-circuited).
+// Each forward makes exactly one transport attempt — no hedge, no retry —
+// so attempts, forwards and forward errors are equal, and every client
+// still gets a 200 model answer from the local miss path.
 func TestChaosHedgeBudgetCap(t *testing.T) {
 	leakCheck(t)
 	tb := compileTiny(t, 1)
+	var tr *countingTransport
 	reps := newServeCluster(t, 3, false, func(i int, cfg *Config) {
 		cfg.Cold = stubCold(tb)
 	}, func(i int, ccfg *cluster.Config) {
-		// Peers never get demoted: every forward runs its full course.
+		// Peers never get demoted: every forward is attempted.
 		ccfg.Health = cluster.HealthConfig{Interval: 3600e9, SuspectAfter: 1 << 30, DeadAfter: 1<<30 + 1}
+		if i == 0 {
+			tr = &countingTransport{Transport: ccfg.Transport}
+			ccfg.Transport = tr
+		}
 	})
 
 	// Kill both peers of rep0; their health state stays alive.
@@ -173,21 +251,13 @@ func TestChaosHedgeBudgetCap(t *testing.T) {
 	if st.Forwards == 0 {
 		t.Fatal("no query routed to a peer-owned cell; widen the key sweep")
 	}
-	// Budget invariant: granted hedges ≤ initial token + ratio per forward.
-	maxHedges := int64(1 + float64(st.Forwards)*cluster.DefaultRetryBudget)
-	if st.Hedges > maxHedges {
-		t.Fatalf("hedges %d exceed the budget cap %d over %d forwards", st.Hedges, maxHedges, st.Forwards)
+	if got := tr.selects.Load(); got != st.Forwards || st.ForwardErrors != st.Forwards {
+		t.Fatalf("%d transport attempts for %d forwards with %d errors, want all three equal", got, st.Forwards, st.ForwardErrors)
 	}
-	if st.Budget.Denied == 0 {
-		t.Fatalf("budget never denied a hedge under total peer death: %+v", st)
-	}
-	if st.ForwardErrors != st.Forwards {
-		t.Fatalf("every forward should have failed: %+v", st)
-	}
-	// The same bound, via the operator-visible metrics.
-	hedges := metricValue(t, reps[0].ts.URL, "collseld_cluster_hedges_total")
-	denied := metricValue(t, reps[0].ts.URL, "collseld_cluster_budget_denied_total")
-	if int64(hedges) != st.Hedges || int64(denied) != st.Budget.Denied {
-		t.Fatalf("metrics disagree with stats: hedges %g/%d denied %g/%d", hedges, st.Hedges, denied, st.Budget.Denied)
+	// The same counts, via the operator-visible metrics.
+	forwards := metricValue(t, reps[0].ts.URL, "collseld_cluster_forwards_total")
+	errs := metricValue(t, reps[0].ts.URL, "collseld_cluster_forward_errors_total")
+	if int64(forwards) != st.Forwards || int64(errs) != st.ForwardErrors {
+		t.Fatalf("metrics disagree with stats: forwards %g/%d errors %g/%d", forwards, st.Forwards, errs, st.ForwardErrors)
 	}
 }

@@ -53,8 +53,6 @@ type metrics struct {
 	observeRejected atomic.Int64 // batches rejected as malformed (400)
 
 	// Replication-layer traffic (rendered only when clustering is on).
-	peerAnswers       atomic.Int64 // select answers served from a peer forward
-	peerHedgeWins     atomic.Int64 // peer answers won by the hedged attempt
 	peerCellsAccepted atomic.Int64 // /peer/cell payloads promoted into the table
 	peerCellsIgnored  atomic.Int64 // /peer/cell payloads identical to a compiled cell
 	peerCellsRejected atomic.Int64 // /peer/cell payloads rejected (malformed or wrong provenance)
@@ -290,26 +288,19 @@ func renderFeedback(b *strings.Builder, m *metrics, st feedback.Stats) {
 	e.gauge("collseld_feedback_backoff_state", "Recompiler backoff state (0=idle, 1=waiting, 2=parked).", st.BackoffState)
 }
 
-// renderCluster appends the replication-layer exposition: forward/hedge
-// counters, the retry budget, per-peer health states and the /peer/cell
-// gossip counters. Rendered only when a cluster is configured, after the
+// renderCluster appends the replication-layer exposition: forward and
+// share counters, per-peer health states and the /peer/cell gossip
+// counters. Rendered only when a cluster is configured, after the
 // core (and feedback) render — scrapes of a single-replica server are
 // byte-identical to non-clustered builds.
 func renderCluster(b *strings.Builder, m *metrics, st cluster.Stats) {
 	e := expo{b}
 	e.counter("collseld_cluster_forwards_total", "Cold queries forwarded to their owning replica.", st.Forwards)
-	e.counter("collseld_cluster_forward_errors_total", "Forwards where every attempt failed (answered locally).", st.ForwardErrors)
-	e.counter("collseld_cluster_hedges_total", "Secondary (hedged or retried) forward attempts launched.", st.Hedges)
-	e.counter("collseld_cluster_hedge_wins_total", "Forwards won by the secondary attempt.", st.HedgeWins)
+	e.counter("collseld_cluster_forward_errors_total", "Forwards that failed or timed out (answered locally).", st.ForwardErrors)
 	e.counter("collseld_cluster_owner_unavailable_total", "Forwards refused because the owner was suspect or dead.", st.OwnerUnavailable)
 	e.counter("collseld_cluster_shares_sent_total", "Cold-cell gossip deliveries to peers.", st.SharesSent)
 	e.counter("collseld_cluster_share_errors_total", "Cold-cell gossip deliveries that failed.", st.ShareErrors)
 	e.counter("collseld_cluster_shares_dropped_total", "Cold-cell shares dropped (queue full or shut down).", st.SharesDropped)
-	e.counter("collseld_cluster_budget_denied_total", "Hedge attempts denied by the retry budget.", st.Budget.Denied)
-
-	fmt.Fprintf(b, "# HELP collseld_cluster_budget_tokens Banked retry-budget tokens.\n")
-	fmt.Fprintf(b, "# TYPE collseld_cluster_budget_tokens gauge\n")
-	fmt.Fprintf(b, "collseld_cluster_budget_tokens %g\n", st.Budget.Tokens)
 
 	fmt.Fprintf(b, "# HELP collseld_cluster_peer_state Peer health (0=alive, 1=suspect, 2=dead).\n")
 	fmt.Fprintf(b, "# TYPE collseld_cluster_peer_state gauge\n")
@@ -318,8 +309,6 @@ func renderCluster(b *strings.Builder, m *metrics, st cluster.Stats) {
 		fmt.Fprintf(b, "collseld_cluster_peer_state{peer=%q} %d\n", p.Peer, stateNum[p.State])
 	}
 
-	e.counter("collseld_peer_answers_total", "Select answers served from a peer forward.", m.peerAnswers.Load())
-	e.counter("collseld_peer_hedge_wins_total", "Peer answers won by the hedged attempt.", m.peerHedgeWins.Load())
 	e.counter("collseld_peer_cells_accepted_total", "Gossiped peer cells promoted into the serving table.", m.peerCellsAccepted.Load())
 	e.counter("collseld_peer_cells_ignored_total", "Gossiped peer cells identical to an already-compiled cell.", m.peerCellsIgnored.Load())
 	e.counter("collseld_peer_cells_rejected_total", "Gossiped peer cells rejected (malformed or wrong provenance).", m.peerCellsRejected.Load())

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -16,9 +15,8 @@ import (
 // is owned by another replica is forwarded there instead of answered and
 // refined locally, so across the cluster each uncovered cell is simulated
 // (roughly) once instead of once per replica. Peers are strictly an
-// optimization — every forward failure, unhealthy owner or exhausted
-// hedge budget falls through to the local miss path, which always
-// answers. The inverse direction is /peer/cell: a replica that simulated a
+// optimization — every forward failure, timeout or unhealthy owner falls
+// through to the local miss path, which always answers. The inverse direction is /peer/cell: a replica that simulated a
 // cell gossips it to the others, who promote it into their serving tables
 // so the next query is a plain table hit.
 
@@ -159,28 +157,19 @@ func (s *Server) shareCold(t *store.Table, c coll.Collective, procs int, cell st
 
 // peerAnswer is the peer rung of the miss path: if the queried cell
 // is owned by another replica (and this request was not itself
-// forwarded), forward it there — hedged and budgeted by the cluster layer
-// — and serve the winner's answer as source "peer". Returns false
-// whenever the local miss path should continue: self-owned key, unhealthy
-// owner, exhausted budget, transport failure, or an unusable peer
+// forwarded), forward it there — one attempt under the cluster's fixed
+// forward deadline — and serve the owner's answer as source "peer".
+// Returns false whenever the local miss path should continue: self-owned
+// key, unhealthy owner, transport failure or timeout, or an unusable peer
 // response. The caller loses nothing by the attempt but latency, and the
-// hedge delay bounds even that.
+// forward deadline bounds that.
 func (s *Server) peerAnswer(r *http.Request, t *store.Table, c coll.Collective, req SelectRequest, resp *SelectResponse) bool {
 	cl := s.cfg.Cluster
 	if cl == nil || r.Header.Get(cluster.ForwardedHeader) != "" {
 		return false
 	}
 	ck := cluster.CellKey(c.String(), req.Procs, req.MsgBytes, t.Factor)
-	if _, self := cl.Route(ck); self {
-		return false
-	}
-	ctx := r.Context()
-	if s.cfg.SelectTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.SelectTimeout)
-		defer cancel()
-	}
-	res, err := cl.Forward(ctx, ck, c.String(), req.Procs, req.MsgBytes)
+	res, err := cl.Forward(r.Context(), ck, c.String(), req.Procs, req.MsgBytes)
 	if err != nil {
 		return false
 	}
@@ -213,9 +202,5 @@ func (s *Server) peerAnswer(r *http.Request, t *store.Table, c coll.Collective, 
 		s.promote(t, c, req.Procs, cell)
 	}
 	s.metrics.countSource("peer")
-	s.metrics.peerAnswers.Add(1)
-	if res.HedgeWin {
-		s.metrics.peerHedgeWins.Add(1)
-	}
 	return true
 }

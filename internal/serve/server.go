@@ -83,8 +83,7 @@ type Config struct {
 	// failed is refined refineRetries more times, then no more.
 	ColdQueue int
 	// SelectTimeout bounds one refinement's live selection, from the
-	// moment it holds a worker slot (not its wait for one), and one peer
-	// forward. The deadline is plumbed as a context all the way into the
+	// moment it holds a worker slot (not its wait for one). The deadline is plumbed as a context all the way into the
 	// simulation workers, which poll it cooperatively — a timed-out
 	// selection stops burning CPU. 0 disables deadlines.
 	SelectTimeout time.Duration
@@ -102,9 +101,9 @@ type Config struct {
 	// pipeline's lifecycle (Start/Close) belongs to the caller.
 	Feedback *feedback.Pipeline
 	// Cluster, when non-nil, enables the replication layer: the peer rung
-	// of the miss path (misses owned by another replica are forwarded
-	// there, hedged and budgeted), the /peer/cell gossip
-	// endpoint, and cluster state in /healthz and /metrics. The cluster's
+	// of the miss path (a miss owned by another replica is forwarded
+	// there in one attempt under a short fixed deadline, and answered
+	// locally if that fails), the /peer/cell gossip endpoint, and cluster state in /healthz and /metrics. The cluster's
 	// lifecycle (Start/Close) belongs to the caller.
 	Cluster *cluster.Cluster
 	// RetryJitterSeed seeds the deterministic jitter applied to every
@@ -363,8 +362,8 @@ type HealthResponse struct {
 	Machine       string    `json:"machine,omitempty"`
 	Coverage      *Coverage `json:"coverage,omitempty"`
 	UptimeSeconds float64   `json:"uptime_seconds"`
-	// Cluster reports the replication layer's view — peer health, budget,
-	// forward/hedge counters — when clustering is enabled.
+	// Cluster reports the replication layer's view — peer health and the
+	// forward and share counters — when clustering is enabled.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
 

@@ -2,18 +2,16 @@
 # Cluster failover smoke test: boot three collseld replicas as a peer
 # ring over one compiled artifact, drive mixed load (covered table hits
 # plus uncovered cold cells that forward to their ring owner), then
-# SIGKILL one replica mid-stream and assert the client-visible contract:
-# every answer from the survivors stays HTTP 200 (replica death must
-# never surface as a 5xx), at least one hedged forward wins against the
-# dead owner, and the survivors demote the corpse to dead in /healthz so
-# later forwards short-circuit to the local miss path.
+# SIGKILL one replica and assert the client-visible contract: every
+# answer from the survivors stays HTTP 200 (replica death must never
+# surface as a 5xx), the survivors answer the corpse's cells locally
+# (each one a failed forward or a short-circuit on the demoted owner),
+# and they demote the corpse to dead in /healthz.
 #
-# The hedge-win window is the gap between the kill and the survivors'
-# next failed heartbeat probe (which demotes the owner and closes the
-# forward path). Probe phase is unsynchronized, so one burst can miss
-# the window; the script then restarts the victim, waits for the ring to
-# heal, and kills it again — a handful of attempts makes a miss
-# vanishingly unlikely while doubling as a repeated-failover demo.
+# The check is deterministic: ring ownership is a fixed function of the
+# fixed ports and the swept procs, so some swept cells are always owned
+# by the corpse, and whether a survivor's heartbeat has demoted it yet
+# only decides which of the two counters records the local answer.
 set -eux
 
 u1=http://127.0.0.1:18281
@@ -44,7 +42,7 @@ fi
 start_replica() {
     "$bindir/collseld" -store "$tmp/table.json" -addr "$1" \
         -peers "$peers" -self "$2" \
-        -hedge-delay 20ms -heartbeat 500ms -peer-timeout 2s \
+        -heartbeat 500ms -peer-timeout 2s \
         >>"$tmp/log.$1" 2>&1 &
     echo $!
 }
@@ -89,46 +87,31 @@ test "$(alive_peers "$u1")" = 2
 # Kill replica 3 and hammer the survivors with mixed load. Distinct
 # procs make every uncovered query a fresh cell that no earlier
 # promotion covers, so roughly a third route to the dead owner and must
-# either hedge to the other survivor or fall back to local simulation —
-# never error.
-wins=0
-attempt=0
-procbase=100
-while [ "$wins" -eq 0 ] && [ "$attempt" -lt 5 ]; do
-    kill -9 "$pid3" 2>/dev/null || true
-    wait "$pid3" 2>/dev/null || true
-    pid3=
-    for i in $(seq 0 23); do
-        if [ $((i % 2)) -eq 0 ]; then target=$u1; else target=$u2; fi
-        if [ $((i % 4)) -eq 3 ]; then
-            url="$target/select?collective=alltoall&msg_bytes=1024&procs=8"
-        else
-            url="$target/select?collective=alltoall&msg_bytes=16&procs=$((procbase + i))"
-        fi
-        code=$(curl -s -o "$tmp/resp" -w '%{http_code}' "$url")
-        if [ "$code" != 200 ]; then
-            echo "FAIL: $url answered HTTP $code after replica kill:" >&2
-            cat "$tmp/resp" >&2
-            exit 1
-        fi
-    done
-    procbase=$((procbase + 24))
-    w1=$(metric "$u1" collseld_cluster_hedge_wins_total)
-    w2=$(metric "$u2" collseld_cluster_hedge_wins_total)
-    wins=$((w1 + w2))
-    attempt=$((attempt + 1))
-    if [ "$wins" -eq 0 ]; then
-        # The probe beat the burst to the corpse; heal the ring and retry.
-        pid3=$(start_replica 127.0.0.1:18283 "$u3")
-        wait_healthy "$u3"
-        for _ in $(seq 1 50); do
-            curl -sf "$u1/healthz" | grep -q "\"peer\":\"$u3\",\"state\":\"alive\"" &&
-                curl -sf "$u2/healthz" | grep -q "\"peer\":\"$u3\",\"state\":\"alive\"" && break
-            sleep 0.2
-        done
+# be answered locally — never error.
+kill -9 "$pid3" 2>/dev/null || true
+wait "$pid3" 2>/dev/null || true
+pid3=
+for i in $(seq 0 23); do
+    if [ $((i % 2)) -eq 0 ]; then target=$u1; else target=$u2; fi
+    if [ $((i % 4)) -eq 3 ]; then
+        url="$target/select?collective=alltoall&msg_bytes=1024&procs=8"
+    else
+        url="$target/select?collective=alltoall&msg_bytes=16&procs=$((100 + i))"
+    fi
+    code=$(curl -s -o "$tmp/resp" -w '%{http_code}' "$url")
+    if [ "$code" != 200 ]; then
+        echo "FAIL: $url answered HTTP $code after replica kill:" >&2
+        cat "$tmp/resp" >&2
+        exit 1
     fi
 done
-test "$wins" -ge 1
+local_answers=0
+for u in "$u1" "$u2"; do
+    fe=$(metric "$u" collseld_cluster_forward_errors_total)
+    ou=$(metric "$u" collseld_cluster_owner_unavailable_total)
+    local_answers=$((local_answers + fe + ou))
+done
+test "$local_answers" -ge 1
 
 # The survivors must demote the corpse: heartbeat probes keep failing,
 # so /healthz converges on dead and later forwards short-circuit.
@@ -144,4 +127,4 @@ fw=$(metric "$u1" collseld_cluster_forwards_total)
 test "$fw" -ge 1
 curl -sf "$u1/metrics" | grep -q 'collseld_cluster_peer_state{peer='
 
-echo "cluster smoke OK: failover attempts=$attempt hedge_wins=$wins forwards(u1)=$fw, zero client-visible errors"
+echo "cluster smoke OK: local answers for the dead owner=$local_answers forwards(u1)=$fw, zero client-visible errors"

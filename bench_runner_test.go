@@ -1,8 +1,11 @@
-// Benchmarks of the parallel grid engine: wall-clock scaling of a full
-// Table II Alltoall measurement grid across worker counts. On a multi-core box
-// BenchmarkGridAlltoallWorkersMax should run at least ~2x faster than
-// BenchmarkGridAlltoallWorkers1; on a single-core box the two coincide but
-// remain bit-identical (see TestBuildMatrixBitIdenticalAcrossWorkers).
+// Benchmarks of the grid layer. The first set measures the wall-clock
+// scaling of a full Table II Alltoall measurement grid across worker
+// counts. On a multi-core box BenchmarkGridAlltoallWorkersMax should run
+// at least ~2x faster than BenchmarkGridAlltoallWorkers1; on a single-core
+// box the two coincide but remain bit-identical (see
+// TestBuildMatrixBitIdenticalAcrossWorkers). BenchmarkSelectReduce8BSimCluster64
+// times one deterministic selection grid, whose cells replay the grid's
+// recorded rep-0 harmonization.
 package collsel_test
 
 import (
@@ -56,3 +59,25 @@ func BenchmarkGridAlltoallWorkers1(b *testing.B)   { benchGridWorkers(b, 1) }
 func BenchmarkGridAlltoallWorkers2(b *testing.B)   { benchGridWorkers(b, 2) }
 func BenchmarkGridAlltoallWorkers4(b *testing.B)   { benchGridWorkers(b, 4) }
 func BenchmarkGridAlltoallWorkersMax(b *testing.B) { benchGridWorkers(b, runtime.GOMAXPROCS(0)) }
+
+// BenchmarkSelectReduce8BSimCluster64 runs one robust selection, reduce 8 B
+// on 64 SimCluster ranks (9 pattern rows x the Table II reduce set), on a
+// single worker: a deterministic grid of small cells, where the
+// harmonization before each cell's first repetition is a large share of
+// its events.
+func BenchmarkSelectReduce8BSimCluster64(b *testing.B) {
+	spec := expt.SelectSpec{
+		Platform:   netmodel.SimCluster(),
+		Collective: coll.Reduce,
+		MsgBytes:   8,
+		Procs:      64,
+		Seed:       1,
+		Runner:     runner.New(runner.WithWorkers(1)),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := expt.SelectRobustCtx(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -133,7 +133,6 @@ func main() {
 			Peers:     peerList,
 			Health:    cluster.HealthConfig{Interval: *heartbeat},
 			Transport: cluster.NewHTTPTransport(*peerTimeout),
-			Logf:      logger.Printf,
 		})
 		if err != nil {
 			cliutil.Fatal("collseld", err)

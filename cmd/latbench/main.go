@@ -99,7 +99,7 @@ func main() {
 				ElemSize:  elemSize,
 				Pattern:   pat,
 				Reps:      *reps,
-			})
+			}, nil)
 			if err != nil {
 				fail("%s at %d B: %v", al.Name, sz, err)
 			}

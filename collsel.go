@@ -171,7 +171,7 @@ type BenchConfig = microbench.Config
 type BenchResult = microbench.Result
 
 // RunBenchmark executes one micro-benchmark.
-var RunBenchmark = microbench.Run
+func RunBenchmark(cfg BenchConfig) (BenchResult, error) { return microbench.Run(cfg, nil) }
 
 // --- Measurement matrix and selection ------------------------------------------------
 

@@ -31,8 +31,6 @@ type Config struct {
 	// Transport speaks to peers (default: HTTPTransport with a 5s call
 	// timeout). Tests inject fakes.
 	Transport Transport
-	// Logf, when non-nil, receives one line per peer state change of note.
-	Logf func(format string, args ...any)
 }
 
 // Cluster wires the ring, the health machine and the transport into the

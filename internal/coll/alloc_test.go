@@ -87,13 +87,18 @@ func TestBruckTimingAllocationIsInFlightBounded(t *testing.T) {
 
 // TestBasicLinearAllocationIsInFlightBounded: basic_linear posts all
 // 2(p-1) requests of a rank at once, so its posted and unexpected lists
-// grow to p entries per rank; the world's pooled store keeps them, and a
-// warm 256-rank world makes O(p) allocations instead of regrowing p lists.
+// grow to p entries per rank, and it keeps the requests in per-rank
+// scratch; the world's pooled store keeps both, and a warm 256-rank world
+// makes O(p) allocations of O(p) bytes instead of regrowing p lists and
+// allocating a 2(p-1)-entry request slice per rank.
 func TestBasicLinearAllocationIsInFlightBounded(t *testing.T) {
 	const p = 256
 	mallocs, bytes := warmAlltoallMallocs(t, "basic_linear", p)
 	t.Logf("warm run made %d allocations (%d B)", mallocs, bytes)
 	if limit := uint64(16 * p); mallocs > limit && !raceEnabled() {
 		t.Errorf("warm run made %d allocations, want <= %d (O(p))", mallocs, limit)
+	}
+	if limit := uint64(1024 * p); bytes > limit && !raceEnabled() {
+		t.Errorf("warm run allocated %d B, want <= %d (O(p))", bytes, limit)
 	}
 }

@@ -57,7 +57,7 @@ func alltoallBasicLinear(a *Args) ([]float64, error) {
 	if p == 1 {
 		return res, nil
 	}
-	reqs := make([]*mpi.Request, 0, 2*(p-1))
+	reqs := a.R.TakeRequests(2 * (p - 1))
 	// Open MPI posts receives from (me+1), (me+2), ... and sends likewise.
 	for i := 1; i < p; i++ {
 		src := (me + i) % p
@@ -78,6 +78,7 @@ func alltoallBasicLinear(a *Args) ([]float64, error) {
 	for _, q := range reqs[p-1:] {
 		q.Wait()
 	}
+	a.R.PutRequests(reqs)
 	return res, nil
 }
 

@@ -239,13 +239,20 @@ func buildMatrix(ctx context.Context, g GridConfig, tolerate bool) (*core.Matrix
 	}
 	report := &DegradedReport{FaultCounts: map[string]int{}}
 
+	// Every cell of a deterministic grid starts from the same world, so
+	// rep 0's harmonization is simulated once here and replayed in each
+	// cell. When the recording fails (a grid with noise, clock error,
+	// faults or a watchdog, a world that cannot be built, or a butterfly
+	// that overruns the window) every cell simulates it, as before.
+	harm, _ := microbench.RecordHarmonization(g.cellConfig(g.Algorithms[0], pattern.Pattern{}, g.Seed))
+	cell := func(label string, cfg microbench.Config) runner.Cell {
+		return runner.Cell{Label: label, Config: cfg, Harmonization: harm}
+	}
+
 	// Pass 1: no-delay runtimes (the skew policies depend on them).
 	cells := make([]runner.Cell, nAlg)
 	for j, al := range g.Algorithms {
-		cells[j] = runner.Cell{
-			Label:  pattern.NoDelay.String() + "/" + al.Name,
-			Config: g.cellConfig(al, pattern.Pattern{}, runner.NoDelaySeed(g.Seed)),
-		}
+		cells[j] = cell(pattern.NoDelay.String()+"/"+al.Name, g.cellConfig(al, pattern.Pattern{}, runner.NoDelaySeed(g.Seed)))
 	}
 	res, cellErrs, err := eng.MapAll(ctx, cells, opts...)
 	if err != nil {
@@ -328,19 +335,13 @@ func buildMatrix(ctx context.Context, g GridConfig, tolerate bool) (*core.Matrix
 				pat = pattern.Generate(sh, g.Procs, s, runner.PatternSeed(g.Seed, si))
 				patSkew, patOK = s, true
 			}
-			cells = append(cells, runner.Cell{
-				Label:  sh.String() + "/" + al.Name,
-				Config: g.cellConfig(al, pat, runner.CellSeed(g.Seed, row, j)),
-			})
+			cells = append(cells, cell(sh.String()+"/"+al.Name, g.cellConfig(al, pat, runner.CellSeed(g.Seed, row, j))))
 		}
 	}
 	for ei, ep := range g.ExtraPatterns {
 		row := 1 + len(g.Shapes) + ei
 		for j, al := range g.Algorithms {
-			cells = append(cells, runner.Cell{
-				Label:  ep.Name + "/" + al.Name,
-				Config: g.cellConfig(al, ep, runner.CellSeed(g.Seed, row, j)),
-			})
+			cells = append(cells, cell(ep.Name+"/"+al.Name, g.cellConfig(al, ep, runner.CellSeed(g.Seed, row, j))))
 		}
 	}
 	res, cellErrs, err = eng.MapAll(ctx, cells, opts...)

@@ -72,7 +72,7 @@ func TestClaim_InOrderBinaryAbsorbsLastDelayed(t *testing.T) {
 			Reps:          1,
 			PerfectClocks: true,
 			NoNoise:       true,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestClaim_MetricsSeparateSkew(t *testing.T) {
 		Reps:          2,
 		PerfectClocks: true,
 		NoNoise:       true,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestClaim_AllTableIIRunEverywhere(t *testing.T) {
 					Warmup:    0,
 					Validate:  true,
 				}
-				if _, err := microbench.Run(cfg); err != nil {
+				if _, err := microbench.Run(cfg, nil); err != nil {
 					t.Errorf("%s on %s: %v", al, pl.Name, err)
 				}
 			}

@@ -66,7 +66,7 @@ func buildMatrixSerialReference(t testing.TB, g GridConfig) *core.Matrix {
 	}
 	bench := func(al coll.Algorithm, pat pattern.Pattern, seedShift int64) float64 {
 		cfg := g.cellConfig(al, pat, g.Seed+seedShift)
-		res, err := microbench.Run(cfg)
+		res, err := microbench.Run(cfg, nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", pat.Name, al.Name, err)
 		}

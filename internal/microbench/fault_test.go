@@ -44,13 +44,13 @@ func TestGoldenZeroFaultPlan(t *testing.T) {
 			Reps:      2,
 			Warmup:    1,
 		}
-		plain, err := Run(base)
+		plain, err := Run(base, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name, err)
 		}
 		withZero := base
 		withZero.Faults = fault.Profile{Enabled: true}
-		zeroed, err := Run(withZero)
+		zeroed, err := Run(withZero, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name, err)
 		}
@@ -74,11 +74,11 @@ func TestFaultyRunDeterministicAndResilient(t *testing.T) {
 		Validate:  true,
 		Faults:    fault.Profile{Enabled: true, DropProb: 0.05, MaxRetries: 50},
 	}
-	a, err := Run(cfg)
+	a, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCrashFailsCell(t *testing.T) {
 		Reps:      1,
 		Faults:    fault.Profile{Enabled: true, CrashProb: 1, CrashMaxNs: 10_000},
 	}
-	_, err := Run(cfg)
+	_, err := Run(cfg, nil)
 	var fe *mpi.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("got %T (%v), want *mpi.FaultError", err, err)

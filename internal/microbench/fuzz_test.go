@@ -37,7 +37,7 @@ func FuzzCollectiveCorrectness(f *testing.F) {
 			PerfectClocks: true,
 			NoNoise:       true,
 		}
-		res, err := Run(cfg)
+		res, err := Run(cfg, nil)
 		if err != nil {
 			t.Fatalf("%v/%s procs=%d count=%d seed=%d: %v",
 				c, al.Name, cfg.Procs, cfg.Count, seed, err)

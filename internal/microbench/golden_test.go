@@ -169,7 +169,7 @@ func goldenCases() []goldenCase {
 
 func runGoldenCase(t *testing.T, gc goldenCase) goldenEntry {
 	t.Helper()
-	res, err := Run(gc.cfg)
+	res, err := Run(gc.cfg, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", gc.key, err)
 	}

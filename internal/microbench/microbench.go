@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"collsel/internal/clocksync"
 	"collsel/internal/coll"
@@ -121,7 +122,16 @@ const (
 )
 
 // Run executes the micro-benchmark and returns aggregated metrics.
-func Run(cfg Config) (Result, error) {
+//
+// h, when non-nil, is the recorded rep-0 harmonization of a deterministic
+// world (see RecordHarmonization): instead of simulating the butterfly
+// again, rank i is first dispatched at the recorded window + delay_i, in
+// the recorded order, and the recorded traffic and events are added to the
+// Result, which is therefore the same as without h. An h recorded on
+// another platform or procs, or passed to a cell that is not
+// deterministic, is an error. A cell with a negative delay simulates rep 0
+// anyway: that rank would start inside the butterfly.
+func Run(cfg Config, h *Harmonization) (Result, error) {
 	if cfg.Platform == nil {
 		return Result{}, fmt.Errorf("microbench: nil platform")
 	}
@@ -145,6 +155,14 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Pattern.Size() != 0 && cfg.Pattern.Size() != cfg.Procs {
 		return Result{}, fmt.Errorf("microbench: pattern size %d != procs %d", cfg.Pattern.Size(), cfg.Procs)
+	}
+	if h != nil {
+		if err := h.fits(cfg); err != nil {
+			return Result{}, err
+		}
+		if slices.ContainsFunc(cfg.Pattern.DelaysNs, func(d int64) bool { return d < 0 }) {
+			h = nil
+		}
 	}
 
 	w, err := mpi.NewWorld(mpi.Config{
@@ -190,6 +208,13 @@ func Run(cfg Config) (Result, error) {
 			counts[i] = cfg.Count
 		}
 	}
+	var staged []mpi.Start
+	if h != nil {
+		staged = make([]mpi.Start, len(h.order))
+		for k, rank := range h.order {
+			staged[k] = mpi.Start{Rank: int(rank), AtNs: h.windowNs + delay(int(rank))}
+		}
+	}
 	runErr := w.Run(func(r *mpi.Rank) {
 		// Algorithms treat their input as read-only, so one vector per rank
 		// serves every repetition.
@@ -199,11 +224,11 @@ func Run(cfg Config) (Result, error) {
 			r.SyncClock(clocksync.DefaultHCAConfig())
 		}
 		for rep := 0; rep < total; rep++ {
-			// MPIX_Harmonize: agree on a future window start on the logical
-			// global clock.
-			window := allreduceMaxScalar(r, r.SyncedNowNs(), harmonizeTag(rep)) + harmonizeSlackNs
-			// Apply this rank's skew: busy-wait until window + delay_i.
-			r.WaitUntilSyncedNs(window + float64(delay(r.ID())))
+			// A replayed rep 0 starts this rank at window + delay_i.
+			if rep > 0 || h == nil {
+				// Apply this rank's skew: busy-wait until window + delay_i.
+				r.WaitUntilSyncedNs(harmonize(r, rep) + float64(delay(r.ID())))
+			}
 			arrive[rep][r.ID()] = r.SyncedNowNs()
 			out, err := cfg.Algorithm.Run(&coll.Args{
 				R:        r,
@@ -224,7 +249,7 @@ func Run(cfg Config) (Result, error) {
 				}
 			}
 		}
-	})
+	}, staged...)
 	// The world is dead: nothing references its requests or transport
 	// events anymore, so the storage can be recycled for the next cell.
 	// Statistics stay readable after Release.
@@ -245,6 +270,11 @@ func Run(cfg Config) (Result, error) {
 		WireMessages: w.MessageCount(),
 		WireBytes:    w.ByteCount(),
 		Events:       w.K.Events(),
+	}
+	if h != nil {
+		res.WireMessages += h.messages
+		res.WireBytes += h.bytes
+		res.Events += h.events
 	}
 	for rep := cfg.Warmup; rep < total; rep++ {
 		minA, maxA := math.Inf(1), math.Inf(-1)
@@ -364,6 +394,12 @@ func expectAll(out []float64, n int, want float64) error {
 }
 
 func harmonizeTag(rep int) int { return 1<<22 + rep*8 }
+
+// harmonize is MPIX_Harmonize for repetition rep: the ranks agree on a
+// future window start on the logical global clock and return it.
+func harmonize(r *mpi.Rank, rep int) float64 {
+	return allreduceMaxScalar(r, r.SyncedNowNs(), harmonizeTag(rep)) + harmonizeSlackNs
+}
 
 // allreduceMaxScalar agrees on the maximum of v across all ranks using a
 // fold + recursive-doubling butterfly (non-power-of-two safe).

@@ -29,11 +29,11 @@ func TestRunValidatesConfig(t *testing.T) {
 			Pattern: pattern.Generate(pattern.Ascending, 5, 100, 0)}, // size mismatch
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
+		if _, err := Run(cfg, nil); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	if _, err := Run(base); err != nil {
+	if _, err := Run(base, nil); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -49,7 +49,7 @@ func TestNoDelayMetricsEqual(t *testing.T) {
 		Reps:      5, Warmup: 1,
 		Validate: true,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSkewShowsUpInTotalDelay(t *testing.T) {
 		Pattern:   pat,
 		Reps:      3, Warmup: 1,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestDeterministicResults(t *testing.T) {
 		Pattern:   pattern.Generate(pattern.Random, 32, 500_000, 11),
 		Reps:      3, Warmup: 0,
 	}
-	a, err := Run(cfg)
+	a, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestValidateCatchesAllCollectives(t *testing.T) {
 				Reps:      2, Warmup: 0,
 				Validate: true,
 			}
-			if _, err := Run(cfg); err != nil {
+			if _, err := Run(cfg, nil); err != nil {
 				t.Errorf("%v: %v", al, err)
 			}
 		}
@@ -153,7 +153,7 @@ func TestImperfectClocksStillMeasurable(t *testing.T) {
 		Algorithm: alg(t, coll.Allreduce, 4),
 		Reps:      4, Warmup: 1,
 	}
-	res, err := Run(cfg)
+	res, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAllreduceMaxScalar(t *testing.T) {
 func TestBarrierBenchmark(t *testing.T) {
 	al, _ := coll.ByID(coll.Barrier, 1)
 	cfg := Config{Platform: netmodel.SimCluster(), Procs: 8, Count: 1, Algorithm: al, Reps: 2, Warmup: 0}
-	res, err := Run(cfg)
+	res, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,12 +74,12 @@ func TestTimingModeMatchesDataMode(t *testing.T) {
 func assertModesAgree(t *testing.T, key string, cfg Config) {
 	t.Helper()
 	cfg.Validate = true
-	data, err := Run(cfg)
+	data, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatalf("%s data mode: %v", key, err)
 	}
 	cfg.Validate = false
-	timing, err := Run(cfg)
+	timing, err := Run(cfg, nil)
 	if err != nil {
 		t.Fatalf("%s timing mode: %v", key, err)
 	}
@@ -129,14 +129,14 @@ func TestTimingModeAllocationIndependentOfSize(t *testing.T) {
 		}
 		// The first run fills the simulator's pools; the minimum of the
 		// following runs discards allocations from pool misses.
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 		best := ^uint64(0)
 		for i := 0; i < 3; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := Run(cfg); err != nil {
+			if _, err := Run(cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)

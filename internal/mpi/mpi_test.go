@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"collsel/internal/netmodel"
@@ -413,5 +414,32 @@ func TestWaitUntilLocalNs(t *testing.T) {
 	}
 	if at != 123_456 { // perfect clocks: local == global
 		t.Errorf("woke at %d", at)
+	}
+}
+
+// TestRunStagedStarts: a staged rank is first dispatched at its start
+// time, ranks staged at one instant in staged order, unstaged ranks at 0;
+// a rank staged twice or out of range is an error.
+func TestRunStagedStarts(t *testing.T) {
+	w := newTestWorld(t, 4)
+	type start struct {
+		rank int
+		at   int64
+	}
+	var got []start
+	err := w.Run(func(r *Rank) {
+		got = append(got, start{r.ID(), w.K.Now()})
+	}, Start{Rank: 3, AtNs: 500}, Start{Rank: 0, AtNs: 500}, Start{Rank: 1, AtNs: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []start{{2, 0}, {1, 200}, {3, 500}, {0, 500}}
+	if !slices.Equal(got, want) {
+		t.Errorf("starts %v, want %v", got, want)
+	}
+	for _, bad := range [][]Start{{{Rank: 1}, {Rank: 1}}, {{Rank: 4}}, {{Rank: -1}}} {
+		if err := newTestWorld(t, 4).Run(func(*Rank) {}, bad...); err == nil {
+			t.Errorf("staging %v accepted", bad)
+		}
 	}
 }

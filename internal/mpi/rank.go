@@ -61,6 +61,28 @@ func (r *Rank) NextCollSeq() int {
 	return r.collSeq
 }
 
+// TakeRequests lends this rank's request scratch: an empty slice with room
+// for n requests, for an operation that posts many requests at once. The
+// storage lives in the world's pooled store, so a warm world does not
+// allocate it again. Hand it back with PutRequests once every request in
+// it has been waited; a concurrent operation of the same rank (on a
+// progress actor) that takes it meanwhile gets fresh storage.
+func (r *Rank) TakeRequests(n int) []*Request {
+	s := r.w.st.scratch[r.id]
+	r.w.st.scratch[r.id] = nil
+	if cap(s) < n {
+		return make([]*Request, 0, n)
+	}
+	return s[:0]
+}
+
+// PutRequests returns request scratch taken with TakeRequests, dropping
+// its released requests.
+func (r *Rank) PutRequests(reqs []*Request) {
+	clear(reqs)
+	r.w.st.scratch[r.id] = reqs[:0]
+}
+
 // inNext returns the sequence number the next matchable message from src
 // must carry.
 func (r *Rank) inNext(src int32) *int32 {

@@ -58,7 +58,8 @@ type World struct {
 // outPseq are the int32 size*size tables of next expected and next
 // outgoing per-pair sequence numbers, carved into per-rank rows on first
 // use (Rank.inNext / Rank.nextPseq): 256 KB each at 256 ranks. lists keeps
-// each rank's matching lists, by rank, between worlds.
+// each rank's matching lists, by rank, between worlds, and scratch each
+// rank's request scratch (Rank.TakeRequests).
 type store struct {
 	reqs    slab[Request]
 	msgs    slab[inMsg]
@@ -66,6 +67,7 @@ type store struct {
 	inPseq  []int32
 	outPseq []int32
 	lists   []matchLists
+	scratch [][]*Request
 }
 
 var storePool = sync.Pool{New: func() any { return new(store) }}
@@ -278,9 +280,12 @@ func NewWorld(cfg Config) (*World, error) {
 	slab := make([]Rank, cfg.Size)
 	if n := cfg.Size - len(w.st.lists); n > 0 {
 		w.st.lists = append(w.st.lists, make([]matchLists, n)...)
+		w.st.scratch = append(w.st.scratch, make([][]*Request, n)...)
 	}
 	for i := 0; i < cfg.Size; i++ {
-		slab[i] = Rank{w: w, id: i, matchLists: w.st.lists[i], syncModel: clocksync.Identity()}
+		slab[i] = Rank{
+			w: w, id: i, matchLists: w.st.lists[i], syncModel: clocksync.Identity(),
+		}
 		w.ranks[i] = &slab[i]
 	}
 	return w, nil
@@ -323,10 +328,30 @@ func (w *World) DropCount() int64 { return w.drops }
 // injection is disabled).
 func (w *World) FaultPlan() *fault.Plan { return w.fault }
 
+// Start stages one rank's first dispatch at a later virtual time (see Run).
+type Start struct {
+	Rank int
+	AtNs sim.Time
+}
+
 // Run spawns one process per rank executing main and runs the simulation to
 // completion. It returns an error on deadlock or if any rank panicked via
 // Fail. Run may be called once per World.
-func (w *World) Run(main func(r *Rank)) error {
+//
+// Every rank starts at time 0 unless staged: a rank named in staged is
+// first dispatched at its AtNs instead, and ranks staged at the same
+// instant are dispatched in staged order (see sim.Proc.StartAt). A rank
+// may be staged at most once.
+func (w *World) Run(main func(r *Rank), staged ...Start) error {
+	if len(staged) > 0 {
+		seen := make([]bool, w.size)
+		for _, s := range staged {
+			if s.Rank < 0 || s.Rank >= w.size || seen[s.Rank] {
+				return fmt.Errorf("mpi: rank %d staged twice or out of range [0, %d)", s.Rank, w.size)
+			}
+			seen[s.Rank] = true
+		}
+	}
 	if w.fault != nil {
 		for i := 0; i < w.size; i++ {
 			if at, ok := w.fault.CrashAtNs(i); ok {
@@ -339,10 +364,10 @@ func (w *World) Run(main func(r *Rank)) error {
 	}
 	for i := 0; i < w.size; i++ {
 		r := w.ranks[i]
-		w.K.Spawn(rankName(i), func(p *sim.Proc) {
-			r.proc = p
-			main(r)
-		})
+		r.proc = w.K.Spawn(rankName(i), func(*sim.Proc) { main(r) })
+	}
+	for _, s := range staged {
+		w.ranks[s.Rank].proc.StartAt(s.AtNs)
 	}
 	return w.K.Run()
 }

@@ -32,6 +32,10 @@ type Cell struct {
 	// Config is the cell's complete simulation input; two cells with
 	// identical configs have identical results.
 	Config microbench.Config
+	// Harmonization, when non-nil, is the grid's recorded rep-0
+	// harmonization, replayed instead of simulated; it leaves the result
+	// unchanged (see microbench.Run).
+	Harmonization *microbench.Harmonization
 }
 
 // Progress reports one completed cell of a Map call.
@@ -170,7 +174,7 @@ func (e *Engine) MapAll(ctx context.Context, cells []Cell, opts ...Option) ([]mi
 				// canceled Map stops burning CPU on doomed cells.
 				cfg := cells[i].Config
 				cfg.Cancel = ctx.Done()
-				results[i], errs[i] = microbench.Run(cfg)
+				results[i], errs[i] = microbench.Run(cfg, cells[i].Harmonization)
 				if errs[i] == nil {
 					report(i)
 				}

@@ -328,6 +328,21 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// StartAt defers the first dispatch of a process that has been spawned but
+// not yet dispatched to virtual time t: its start is a wake event queued
+// now, so processes started at the same instant are first dispatched in
+// StartAt call order, after every event at t queued before them. Until
+// then the process counts as blocked in waitUntil(t). The entry Spawn left
+// on the ready list is skipped, since the process is no longer runnable.
+func (p *Proc) StartAt(t Time) {
+	if p.started || p.state != stateRunnable {
+		panic("sim: StartAt on a process that is not freshly spawned")
+	}
+	p.state = stateBlocked
+	p.reason = blockInfo{kind: reasonWaitUntil, arg: t}
+	p.k.push(t, event{kind: evWake, target: int32(p.id)})
+}
+
 // Ready marks a blocked process runnable. It must be called from kernel
 // context (an event callback) or from the running process.
 func (k *Kernel) Ready(p *Proc) {

@@ -599,3 +599,41 @@ func TestEventCounters(t *testing.T) {
 		t.Errorf("PeakQueueLen() = %d, want 5", got)
 	}
 }
+
+// TestStartAtOrdersFirstDispatch: processes started at one instant are
+// first dispatched in StartAt order, ahead of events at that instant
+// queued after them; a run aborted before a staged start retires the
+// process without dispatching it.
+func TestStartAtOrdersFirstDispatch(t *testing.T) {
+	k := New()
+	var order []string
+	body := func(p *Proc) { order = append(order, fmt.Sprintf("%s@%d", p.Name(), k.Now())) }
+	k.Spawn("a", func(p *Proc) {
+		p.WaitUntil(100)
+		body(p)
+	})
+	b := k.Spawn("b", body)
+	c := k.Spawn("c", body)
+	c.StartAt(100)
+	b.StartAt(100)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[c@100 b@100 a@100]"; got != want {
+		t.Errorf("dispatch order %s, want %s", got, want)
+	}
+
+	k = New()
+	ran := false
+	k.Spawn("late", func(*Proc) { ran = true }).StartAt(100)
+	k.Spawn("fail", func(p *Proc) {
+		p.Sleep(50)
+		k.Fail(errors.New("boom"))
+	})
+	if err := k.Run(); err == nil || err.Error() != "boom" {
+		t.Fatalf("Run = %v, want boom", err)
+	}
+	if ran {
+		t.Error("aborted run dispatched a staged process")
+	}
+}

@@ -20,8 +20,12 @@
 // -observe-wal enables the closed feedback loop: POST /observe ingests
 // arrival-pattern observations into a crash-safe write-ahead log, and a
 // background recompiler re-simulates drifted table cells and hot-swaps the
-// tuned artifact in (written next to the WAL as autotuned.json). Without
-// the flag /observe answers 404 and the daemon behaves exactly as before.
+// tuned artifact in (written next to the WAL as autotuned.json). A full
+// ingest buffer sheds a batch with 429 and a Retry-After of 1 or 2 s. A
+// recompile is a pure function of the served table and the observation
+// digest, so a failed one is not retried until new evidence or a /reload
+// changes one of them. Without the flag /observe answers 404 and the
+// daemon behaves exactly as before.
 //
 // -peers enables replication: the replicas consistent-hash the uncovered-cell
 // keyspace among themselves, forward an uncovered query to the owning
@@ -45,7 +49,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"net/http"
 	"os"
@@ -69,12 +72,10 @@ func main() {
 	noCold := flag.Bool("no-cold", false, "never simulate: answer uncovered queries from the model or the nearest cell without refining them")
 	coldQueue := flag.Int("cold-queue", 8, "refinements allowed to wait for a worker; excess refinements are shed (negative: no waiting)")
 	selectTimeout := flag.Duration("select-timeout", 30*time.Second, "deadline for one refinement's live selection (from when it holds a worker), enforced down into the simulation workers (0 disables)")
-	observeRetryAfter := flag.Duration("observe-retry-after", time.Second, "Retry-After hint on shed /observe batches (429); tune to the observation producers' batching period")
 	drainWait := flag.Duration("drain", 10*time.Second, "grace period between SIGTERM (healthz flips to draining) and shutdown")
 	observeWAL := flag.String("observe-wal", "", "directory for the /observe write-ahead log; empty disables the feedback loop")
 	observeBuffer := flag.Int("observe-buffer", 64, "accepted-but-not-yet-logged observation batches; /observe sheds with 429 beyond this")
 	recompileThreshold := flag.Float64("recompile-threshold", 0.25, "skew-factor drift that marks a table cell stale and triggers recompilation")
-	recompileBackoff := flag.Duration("recompile-backoff", 500*time.Millisecond, "base retry delay after a failed recompilation (doubles per failure, capped)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica (including this one); empty disables clustering")
 	self := flag.String("self", "", "this replica's own base URL as it appears in -peers (required with -peers)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "peer liveness probe interval")
@@ -99,12 +100,11 @@ func main() {
 	var pipeline *feedback.Pipeline
 	if *observeWAL != "" {
 		pipeline, err = feedback.New(feedback.Config{
-			WALDir:      *observeWAL,
-			Buffer:      *observeBuffer,
-			Plan:        feedback.PlanConfig{Threshold: *recompileThreshold},
-			BackoffBase: *recompileBackoff,
-			Handle:      handle,
-			Logf:        logger.Printf,
+			WALDir: *observeWAL,
+			Buffer: *observeBuffer,
+			Plan:   feedback.PlanConfig{Threshold: *recompileThreshold},
+			Handle: handle,
+			Logf:   logger.Printf,
 		})
 		if err != nil {
 			cliutil.Fatal("collseld", err)
@@ -141,17 +141,15 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Handle:            handle,
-		StorePath:         *storePath,
-		ColdDisabled:      *noCold,
-		ColdWorkers:       *coldWorkers,
-		ColdQueue:         *coldQueue,
-		SelectTimeout:     *selectTimeout,
-		ObserveRetryAfter: *observeRetryAfter,
-		Feedback:          pipeline,
-		Cluster:           clu,
-		RetryJitterSeed:   jitterSeed(*self, *addr),
-		Logf:              logger.Printf,
+		Handle:        handle,
+		StorePath:     *storePath,
+		ColdDisabled:  *noCold,
+		ColdWorkers:   *coldWorkers,
+		ColdQueue:     *coldQueue,
+		SelectTimeout: *selectTimeout,
+		Feedback:      pipeline,
+		Cluster:       clu,
+		Logf:          logger.Printf,
 	})
 	if err != nil {
 		cliutil.Fatal("collseld", err)
@@ -235,18 +233,4 @@ func tableVersion(s *serve.Server) string {
 		return t.Version
 	}
 	return "none"
-}
-
-// jitterSeed derives a per-replica Retry-After jitter seed from its
-// identity, so every replica in a cluster spreads its backoff hints
-// differently while each individual replica stays deterministic.
-func jitterSeed(self, addr string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(self))
-	h.Write([]byte(addr))
-	seed := int64(h.Sum64())
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
 }

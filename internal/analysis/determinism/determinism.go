@@ -65,9 +65,9 @@ var DefaultScope = []string{
 	"internal/stats",
 	"internal/papaware",
 	// The feedback loop recompiles artifacts from observations: its
-	// aggregation, digests and backoff jitter must replay bit-identically,
+	// aggregation, digests and recompile seeds must replay bit-identically,
 	// so it lives under the same determinism contract as the compiler
-	// (timers for backoff are fine; wall-clock reads are not).
+	// (Quiesce's polling timer is fine; wall-clock reads are not).
 	"internal/feedback",
 	// The replication layer routes by consistent hash and demotes peers by
 	// failure counts: every replica must reach the same owner for the same

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -34,37 +33,15 @@ type CompileFunc func(ctx context.Context, base *store.Table, patches []store.Ce
 // ValidateFunc is the pre-publish check; injectable for the same reason.
 type ValidateFunc func(t *store.Table, patches []store.CellPatch) error
 
-// Backoff-state gauge values, exported through Stats.
-const (
-	BackoffIdle    = 0 // recompiler waiting for drift
-	BackoffWaiting = 1 // last attempt failed, capped-exponential retry pending
-	BackoffParked  = 2 // circuit breaker open: repeated failures, recompilation parked
-)
-
 // Config parameterizes a Pipeline.
 type Config struct {
 	// WALDir is the observation log directory; required.
 	WALDir string
-	// SegmentLimit is the WAL rotation size (0: DefaultSegmentLimit).
-	SegmentLimit int64
 	// Buffer bounds the queue of accepted-but-not-yet-ingested observation
 	// batches; Offer sheds beyond it (default 64).
 	Buffer int
 	// Plan holds the drift threshold and minimum observation count.
 	Plan PlanConfig
-	// BackoffBase and BackoffMax shape the retry ladder after a failed
-	// recompilation: base*2^(n-1) with deterministic seed-derived jitter,
-	// capped at max (defaults 500ms / 1m).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxFailures consecutive failures park the recompiler (circuit
-	// breaker): serving continues on the old table, and only a changed
-	// profile digest — new evidence — un-parks it (default 5).
-	MaxFailures int
-	// RecompileTimeout bounds one recompilation attempt; it is plumbed as a
-	// context deadline into the simulation workers, which poll it
-	// cooperatively (0: no deadline).
-	RecompileTimeout time.Duration
 	// Handle is the serving hot-swap slot promotions go through; required.
 	Handle *store.Handle
 	// ArtifactPath is where the promoted artifact is written (atomic
@@ -77,9 +54,6 @@ type Config struct {
 	// Logf, when non-nil, receives one line per ingest error, attempt,
 	// promotion and park.
 	Logf func(format string, args ...any)
-
-	// sleep is the backoff timer seam (tests: instant, recording).
-	sleep func(ctx context.Context, d time.Duration) bool
 }
 
 // Pipeline is the crash-safe closed loop: Offer → bounded buffer → WAL →
@@ -106,16 +80,18 @@ type Pipeline struct {
 	recordsIngested atomic.Int64
 	walErrors       atomic.Int64
 
-	attempts     atomic.Int64
-	successes    atomic.Int64
-	failures     atomic.Int64
-	swapsLost    atomic.Int64
-	swapGen      atomic.Int64
-	backoffState atomic.Int64
-
-	parkMu       sync.Mutex
-	parkedDigest string
+	attempts  atomic.Int64
+	successes atomic.Int64
+	failures  atomic.Int64
+	swapsLost atomic.Int64
+	swapGen   atomic.Int64
+	parked    atomic.Bool
 }
+
+// planKey names a recompile's whole input: the served table and the
+// profile digest. A recompile is a pure function of it, so a key that
+// failed once fails again and is not retried.
+type planKey struct{ version, digest string }
 
 // Stats is the pipeline's metrics snapshot.
 type Stats struct {
@@ -133,8 +109,9 @@ type Stats struct {
 	SwapsLost          int64
 	// SwapGeneration counts promotions by this pipeline.
 	SwapGeneration int64
-	// BackoffState is BackoffIdle, BackoffWaiting or BackoffParked.
-	BackoffState int64
+	// Parked is 1 while the recompiler holds a failed plan and waits for
+	// new evidence or a different served table, else 0.
+	Parked int64
 }
 
 // New opens (and recovers) the WAL, replays it into a fresh aggregator and
@@ -151,15 +128,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 64
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 500 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = time.Minute
-	}
-	if cfg.MaxFailures <= 0 {
-		cfg.MaxFailures = 5
-	}
 	if cfg.ArtifactPath == "" {
 		cfg.ArtifactPath = filepath.Join(cfg.WALDir, "autotuned.json")
 	}
@@ -171,11 +139,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Validate == nil {
 		cfg.Validate = validatePatched
 	}
-	if cfg.sleep == nil {
-		cfg.sleep = sleepCtx
-	}
 	agg := NewAggregator()
-	wal, err := OpenWAL(cfg.WALDir, cfg.SegmentLimit, agg.FoldOne)
+	wal, err := OpenWAL(cfg.WALDir, 0, agg.FoldOne)
 	if err != nil {
 		return nil, err
 	}
@@ -280,6 +245,10 @@ func (p *Pipeline) Close() error {
 
 // Stats snapshots the pipeline for /metrics.
 func (p *Pipeline) Stats() Stats {
+	var parked int64
+	if p.parked.Load() {
+		parked = 1
+	}
 	return Stats{
 		WAL:                p.wal.Stats(),
 		Profiles:           p.agg.Len(),
@@ -293,7 +262,7 @@ func (p *Pipeline) Stats() Stats {
 		RecompileFailures:  p.failures.Load(),
 		SwapsLost:          p.swapsLost.Load(),
 		SwapGeneration:     p.swapGen.Load(),
-		BackoffState:       p.backoffState.Load(),
+		Parked:             parked,
 	}
 }
 
@@ -334,11 +303,12 @@ func (p *Pipeline) ingestLoop() {
 // recompileLoop is the single background worker. Per kick it drains all
 // pending drift: plan against the *current* table, recompile, promote,
 // re-plan — a converged plan (no patches) ends the drain, because every
-// promoted cell now carries its empirical factor. Failures walk the
-// capped-exponential backoff ladder; MaxFailures consecutive ones park the
-// loop until the profile digest changes (new evidence).
+// promoted cell now carries its empirical factor. A failed attempt parks
+// its planKey: retrying the same (table, digest) would repeat the same
+// simulation and the same verdict, so the loop waits, without a timer,
+// until new evidence changes the digest or a reload changes the table.
 func (p *Pipeline) recompileLoop() {
-	consecutive := 0
+	var parked planKey
 	for {
 		select {
 		case <-p.ctx.Done():
@@ -351,87 +321,32 @@ func (p *Pipeline) recompileLoop() {
 				break
 			}
 			patches, digest := p.agg.Plan(base, p.cfg.Plan)
-			if len(patches) == 0 {
+			key := planKey{base.Version, digest}
+			p.parked.Store(key == parked)
+			if len(patches) == 0 || key == parked {
 				break
 			}
-			if p.parked(digest) {
-				break
-			}
+			// A lost swap race is not a failure: the operator's table won,
+			// so plan again against whatever is serving now. A promotion
+			// re-plans too, as it may expose further drift.
 			err := p.attempt(base, patches, digest)
-			switch {
-			case err == nil:
-				consecutive = 0
-				p.backoffState.Store(BackoffIdle)
-				continue // re-plan: promotion may expose further drift
-			case errors.Is(err, errStaleBase):
-				// Not a failure: the operator won the swap race; plan again
-				// against whatever is serving now.
+			if err == nil || errors.Is(err, errStaleBase) {
 				continue
 			}
-			consecutive++
 			p.failures.Add(1)
-			p.logf("feedback: recompilation failed (%d consecutive): %v", consecutive, err)
 			if p.ctx.Err() != nil {
 				return
 			}
-			if consecutive >= p.cfg.MaxFailures {
-				p.park(digest)
-				consecutive = 0
-				break
-			}
-			p.backoffState.Store(BackoffWaiting)
-			if !p.cfg.sleep(p.ctx, p.backoffFor(consecutive, digest)) {
-				return
-			}
-		}
-		if p.backoffState.Load() == BackoffWaiting {
-			p.backoffState.Store(BackoffIdle)
+			parked = key
+			p.parked.Store(true)
+			p.logf("feedback: recompilation failed, parked until new evidence or a reload (table %s, profile %s); serving continues on the current table: %v",
+				base.Version, digest, err)
+			break
 		}
 	}
 }
 
-// backoffFor returns base*2^(n-1) capped at max, plus up to +25%
-// deterministic jitter derived from (digest, n) — jitter without ambient
-// randomness, so a replayed failure sequence waits identically.
-func (p *Pipeline) backoffFor(n int, digest string) time.Duration {
-	d := p.cfg.BackoffBase
-	for i := 1; i < n && d < p.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > p.cfg.BackoffMax {
-		d = p.cfg.BackoffMax
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d", digest, n)
-	frac := float64(h.Sum64()%1024) / 1024
-	return d + time.Duration(float64(d)*0.25*frac)
-}
-
-func (p *Pipeline) parked(digest string) bool {
-	p.parkMu.Lock()
-	defer p.parkMu.Unlock()
-	if p.parkedDigest == "" {
-		return false
-	}
-	if p.parkedDigest != digest {
-		// New evidence arrived since the park: un-park and try again.
-		p.parkedDigest = ""
-		p.backoffState.Store(BackoffIdle)
-		return false
-	}
-	return true
-}
-
-func (p *Pipeline) park(digest string) {
-	p.parkMu.Lock()
-	p.parkedDigest = digest
-	p.parkMu.Unlock()
-	p.backoffState.Store(BackoffParked)
-	p.logf("feedback: recompiler parked after %d consecutive failures (profile %s); serving continues on the current table",
-		p.cfg.MaxFailures, digest)
-}
-
-// attempt recompiles patches against base (deadline-bounded), then, inside
+// attempt recompiles patches against base, then, inside
 // Handle.Update, installs the recompiled cells into the current table,
 // validates the candidate, saves it (atomic temp+rename), loads it back
 // through the checksum and fingerprint guards /reload applies, and
@@ -439,13 +354,7 @@ func (p *Pipeline) park(digest string) {
 // A candidate that fails any step is never published.
 func (p *Pipeline) attempt(base *store.Table, patches []store.CellPatch, digest string) error {
 	p.attempts.Add(1)
-	ctx := p.ctx
-	if p.cfg.RecompileTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.RecompileTimeout)
-		defer cancel()
-	}
-	nt, err := p.cfg.Compile(ctx, base, patches, digest)
+	nt, err := p.cfg.Compile(p.ctx, base, patches, digest)
 	if err != nil {
 		return err
 	}
@@ -530,16 +439,4 @@ func validatePatched(t *store.Table, patches []store.CellPatch) error {
 		}
 	}
 	return nil
-}
-
-// sleepCtx waits d or until ctx is done; true means the wait completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -66,7 +66,7 @@ func TestPipelineEndToEndPromotes(t *testing.T) {
 		t.Fatalf("served %s, on disk %s", nt.Version, onDisk.Version)
 	}
 	st := p.Stats()
-	if st.RecompileSuccesses != 1 || st.RecompileFailures != 0 || st.BackoffState != BackoffIdle {
+	if st.RecompileSuccesses != 1 || st.RecompileFailures != 0 || st.Parked != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	if err := p.Close(); err != nil {
@@ -130,38 +130,18 @@ func TestPipelineReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// recordingSleep is the backoff seam: instant, remembering each wait.
-type recordingSleep struct {
-	mu sync.Mutex
-	ds []time.Duration
-}
-
-func (r *recordingSleep) sleep(ctx context.Context, d time.Duration) bool {
-	r.mu.Lock()
-	r.ds = append(r.ds, d)
-	r.mu.Unlock()
-	return ctx.Err() == nil
-}
-
-func (r *recordingSleep) waits() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]time.Duration(nil), r.ds...)
-}
-
-func TestPipelineBackoffLadderAndPark(t *testing.T) {
+// TestPipelineParksFailedPlan pins the one failure rule: a failed
+// recompile parks its (served table, profile digest) and is attempted
+// once; only new evidence or a different served table starts another.
+func TestPipelineParksFailedPlan(t *testing.T) {
 	base := compileBase(t, 3)
 	h := store.NewHandle(base)
 	failing := true
 	var mu sync.Mutex
 	setFailing := func(v bool) { mu.Lock(); failing = v; mu.Unlock() }
-	rs := &recordingSleep{}
 	p, err := New(Config{
-		WALDir:      t.TempDir(),
-		Handle:      h,
-		MaxFailures: 3,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  time.Second,
+		WALDir: t.TempDir(),
+		Handle: h,
 		Compile: func(ctx context.Context, b *store.Table, patches []store.CellPatch, digest string) (*store.Table, error) {
 			mu.Lock()
 			f := failing
@@ -175,44 +155,61 @@ func TestPipelineBackoffLadderAndPark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.cfg.sleep = rs.sleep
 	p.Start()
 	defer p.Close()
+
+	// kicks nudges the recompiler without new evidence and gives each
+	// nudge time to be planned; a parked plan must start no attempt.
+	kicks := func() {
+		for i := 0; i < 3; i++ {
+			p.Kick()
+			waitFor(t, "kick consumed", func() bool { return len(p.kickCh) == 0 })
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	want := func(what string, attempts int64) {
+		t.Helper()
+		st := p.Stats()
+		if st.RecompileAttempts != attempts || st.RecompileFailures != attempts || st.Parked != 1 || st.SwapGeneration != 0 {
+			t.Fatalf("%s: stats %+v, want %d failed attempts, parked, no promotion", what, st, attempts)
+		}
+	}
 
 	if err := p.Offer(driftBatch(2.0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "park", func() bool { return p.Stats().BackoffState == BackoffParked })
-	st := p.Stats()
-	if st.RecompileFailures != 3 || st.RecompileAttempts != 3 || st.SwapGeneration != 0 {
-		t.Fatalf("stats after park: %+v", st)
-	}
+	waitFor(t, "park", func() bool { return p.Stats().Parked == 1 })
+	want("first failure", 1)
 	if h.Table() != base {
-		t.Fatal("park must leave the old table serving")
+		t.Fatal("a failed recompile must leave the old table serving")
 	}
-	// Two backoff waits before the parking third failure, walking the
-	// capped-exponential ladder with deterministic jitter.
-	ds := rs.waits()
-	if len(ds) != 2 {
-		t.Fatalf("got %d backoff waits, want 2: %v", len(ds), ds)
-	}
-	if ds[0] < 100*time.Millisecond || ds[0] > 125*time.Millisecond {
-		t.Fatalf("first backoff %v outside [base, base*1.25]", ds[0])
-	}
-	if ds[1] < 200*time.Millisecond || ds[1] > 250*time.Millisecond {
-		t.Fatalf("second backoff %v outside [2*base, 2.5*base]", ds[1])
-	}
+	kicks()
+	want("kicks without new evidence", 1)
 
-	// New evidence (the count changes the digest) un-parks; with the
-	// compile fixed first, the recompile it starts cannot fail and park
-	// again, so promotion succeeds.
+	// A reload of a different table, same digest: a new key, so exactly
+	// one new attempt, which fails and parks that key in turn.
+	h.Swap(compileBase(t, 4))
+	p.Kick()
+	waitFor(t, "attempt on the reloaded table", func() bool {
+		st := p.Stats()
+		return st.RecompileFailures == 2 && st.Parked == 1
+	})
+	kicks()
+	want("kicks after the reload", 2)
+
+	// New evidence (the count changes the digest) with the compile fixed:
+	// one attempt, and it promotes on top of the reloaded table.
 	setFailing(false)
 	if err := p.Offer(driftBatch(2.0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "promotion after un-park", func() bool { return p.Stats().SwapGeneration >= 1 })
-	if p.Stats().BackoffState != BackoffIdle {
-		t.Fatalf("backoff state %d after recovery, want idle", p.Stats().BackoffState)
+	waitFor(t, "promotion after new evidence", func() bool { return p.Stats().SwapGeneration >= 1 })
+	st := p.Stats()
+	if st.RecompileAttempts != 3 || st.RecompileSuccesses != 1 || st.Parked != 0 {
+		t.Fatalf("stats after recovery %+v, want 3 attempts, 1 success, not parked", st)
+	}
+	if nt := h.Table(); nt.Seed != 4 {
+		t.Fatalf("promotion built on seed %d, want the reloaded table's 4", nt.Seed)
 	}
 }
 
@@ -223,9 +220,8 @@ func TestPipelineRollbackOnFailedValidation(t *testing.T) {
 	base := compileBase(t, 3)
 	h := store.NewHandle(base)
 	p, err := New(Config{
-		WALDir:      t.TempDir(),
-		Handle:      h,
-		MaxFailures: 2,
+		WALDir: t.TempDir(),
+		Handle: h,
 		Validate: func(*store.Table, []store.CellPatch) error {
 			return errors.New("injected validation failure")
 		},
@@ -233,18 +229,16 @@ func TestPipelineRollbackOnFailedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &recordingSleep{}
-	p.cfg.sleep = rs.sleep
 	p.Start()
 	defer p.Close()
 
 	if err := p.Offer(driftBatch(2.0, 50)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "park after failed validations", func() bool { return p.Stats().BackoffState == BackoffParked })
+	waitFor(t, "park after a failed validation", func() bool { return p.Stats().Parked == 1 })
 	st := p.Stats()
-	if st.RecompileFailures != 2 || st.SwapGeneration != 0 {
-		t.Fatalf("stats %+v, want 2 failures and no promotion", st)
+	if st.RecompileFailures != 1 || st.SwapGeneration != 0 {
+		t.Fatalf("stats %+v, want 1 failure and no promotion", st)
 	}
 	if h.Table() != base {
 		t.Fatalf("a candidate that failed validation was published (serving %s)", h.Table().Version)
@@ -396,26 +390,5 @@ func TestOfferBackpressureAndClose(t *testing.T) {
 	w.Close()
 	if n != 2 {
 		t.Fatalf("WAL holds %d records after close-drain, want 2", n)
-	}
-}
-
-func TestBackoffForDeterministicAndCapped(t *testing.T) {
-	p := &Pipeline{cfg: Config{BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second}}
-	if a, b := p.backoffFor(3, "digest"), p.backoffFor(3, "digest"); a != b {
-		t.Fatalf("jitter not deterministic: %v vs %v", a, b)
-	}
-	if a, b := p.backoffFor(3, "d1"), p.backoffFor(3, "d2"); a == b {
-		t.Logf("note: distinct digests happened to collide (%v) — allowed but unlikely", a)
-	}
-	if d := p.backoffFor(30, "x"); d > 1250*time.Millisecond {
-		t.Fatalf("backoff %v exceeds cap+jitter", d)
-	}
-	var prev time.Duration
-	for n := 1; n <= 5; n++ {
-		d := p.backoffFor(n, "x")
-		if d < prev {
-			t.Fatalf("ladder not monotone at n=%d: %v < %v", n, d, prev)
-		}
-		prev = d
 	}
 }

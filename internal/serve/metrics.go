@@ -285,7 +285,7 @@ func renderFeedback(b *strings.Builder, m *metrics, st feedback.Stats) {
 	e.counter("collseld_feedback_recompile_failures_total", "Recompilation attempts that failed.", st.RecompileFailures)
 	e.counter("collseld_feedback_swaps_lost_total", "Promotions dropped after losing the swap race to a reload.", st.SwapsLost)
 	e.counter("collseld_feedback_swaps_total", "Tables promoted by the feedback loop.", st.SwapGeneration)
-	e.gauge("collseld_feedback_backoff_state", "Recompiler backoff state (0=idle, 1=waiting, 2=parked).", st.BackoffState)
+	e.gauge("collseld_feedback_parked", "1 while a failed recompile waits for new evidence or a reload, else 0.", st.Parked)
 }
 
 // renderCluster appends the replication-layer exposition: forward and

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"collsel/internal/coll"
-	"collsel/internal/feedback"
 	"collsel/internal/store"
 )
 
@@ -265,53 +262,6 @@ func TestModelTierPromotionLosesRace(t *testing.T) {
 	}
 	if got := s.metrics.modelPromotions.Load(); got != 0 {
 		t.Fatalf("%d promotions recorded for a lost race", got)
-	}
-}
-
-// TestObserveRetryAfterFlag checks the /observe backpressure hint: shed
-// batches carry the configured ObserveRetryAfter, jittered.
-func TestObserveRetryAfterFlag(t *testing.T) {
-	tb := compileTiny(t, 1)
-	h := store.NewHandle(tb)
-	p := newFeedbackPipeline(t, h, feedback.Config{Buffer: 1})
-	// Pipeline deliberately not started: the buffer never drains, so the
-	// second batch must shed.
-	_, ts := newTestServer(t, Config{
-		Handle:            h,
-		Feedback:          p,
-		ObserveRetryAfter: 7 * time.Second,
-	})
-
-	if code, _ := postObserve(t, ts.URL, driftObs(1.5, 1)); code != http.StatusAccepted {
-		t.Fatalf("first batch: HTTP %d, want 202", code)
-	}
-	shed := false
-	for i := 0; i < 8; i++ {
-		code, hdr := postObserve(t, ts.URL, driftObs(1.5, 1))
-		if code == http.StatusTooManyRequests {
-			// Jittered over [7, 14] from the 7s observe-specific base.
-			secs, err := strconv.Atoi(hdr.Get("Retry-After"))
-			if err != nil || secs < 7 || secs > 14 {
-				t.Fatalf("shed /observe Retry-After %q, want [7,14] (the jittered observe-specific hint)", hdr.Get("Retry-After"))
-			}
-			shed = true
-			break
-		}
-	}
-	if !shed {
-		t.Fatal("buffer of 1 never shed")
-	}
-}
-
-// TestObserveRetryAfterDefaults pins the config defaulting: an unset
-// ObserveRetryAfter is 1s.
-func TestObserveRetryAfterDefaults(t *testing.T) {
-	s, err := New(Config{Handle: store.NewHandle(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.ObserveRetryAfter != time.Second {
-		t.Fatalf("ObserveRetryAfter defaulted to %s, want 1s", s.cfg.ObserveRetryAfter)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http"
+	"strconv"
 
 	"collsel/internal/coll"
 	"collsel/internal/feedback"
@@ -122,7 +124,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	switch err := s.feedback.Offer(recs); {
 	case errors.Is(err, feedback.ErrBusy):
 		s.metrics.observeShed.Add(1)
-		s.observeRetryAfter(w)
+		// 1 or 2 s at random, so producers shed by one overload do not
+		// re-offer in lockstep.
+		w.Header().Set("Retry-After", strconv.Itoa(1+rand.IntN(2)))
 		s.httpError(w, "observe", http.StatusTooManyRequests, "observation buffer full, retry later")
 	case errors.Is(err, feedback.ErrClosed):
 		s.httpError(w, "observe", http.StatusServiceUnavailable, "feedback pipeline shut down")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -127,6 +128,61 @@ func TestObserveDisabledAndMalformed(t *testing.T) {
 			t.Fatalf("HTTP %d accepted=%d, want 202/1", resp.StatusCode, out.Accepted)
 		}
 	})
+}
+
+// TestObserveRetryAfterFlag checks the /observe backpressure hint with no
+// setting at all: the hint has no flag or config field, so a shed batch
+// on a default-configured server carries the fixed 1-2 s Retry-After.
+func TestObserveRetryAfterFlag(t *testing.T) {
+	tb := compileTiny(t, 1)
+	h := store.NewHandle(tb)
+	p := newFeedbackPipeline(t, h, feedback.Config{Buffer: 1})
+	// Pipeline deliberately not started: the buffer never drains, so the
+	// second batch must shed.
+	_, ts := newTestServer(t, Config{Handle: h, Feedback: p})
+
+	if code, _ := postObserve(t, ts.URL, driftObs(1.5, 1)); code != http.StatusAccepted {
+		t.Fatalf("first batch: HTTP %d, want 202", code)
+	}
+	code, hdr := postObserve(t, ts.URL, driftObs(1.5, 1))
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("second batch on a buffer of 1: HTTP %d, want 429", code)
+	}
+	secs, err := strconv.Atoi(hdr.Get("Retry-After"))
+	if err != nil || secs < 1 || secs > 2 {
+		t.Fatalf("shed /observe Retry-After %q, want whole seconds in [1,2]", hdr.Get("Retry-After"))
+	}
+}
+
+// TestRetryJitterRange pins the /observe backpressure hint: every shed
+// batch carries a Retry-After of 1 or 2 seconds, and both occur, so
+// producers shed by one overload do not re-offer in the same second.
+func TestRetryJitterRange(t *testing.T) {
+	tb := compileTiny(t, 1)
+	h := store.NewHandle(tb)
+	p := newFeedbackPipeline(t, h, feedback.Config{Buffer: 1})
+	// Pipeline deliberately not started: the buffer never drains, so every
+	// batch after the first sheds.
+	_, ts := newTestServer(t, Config{Handle: h, Feedback: p})
+
+	if code, _ := postObserve(t, ts.URL, driftObs(1.5, 1)); code != http.StatusAccepted {
+		t.Fatalf("first batch: HTTP %d, want 202", code)
+	}
+	seen := map[string]int{}
+	for i := 0; i < 32; i++ {
+		code, hdr := postObserve(t, ts.URL, driftObs(1.5, 1))
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("batch %d on a full buffer: HTTP %d, want 429", i, code)
+		}
+		ra := hdr.Get("Retry-After")
+		if ra != "1" && ra != "2" {
+			t.Fatalf("shed /observe Retry-After %q, want 1 or 2", ra)
+		}
+		seen[ra]++
+	}
+	if len(seen) != 2 {
+		t.Fatalf("32 shed batches never varied their Retry-After: %v", seen)
+	}
 }
 
 // TestChaosObserveStorm floods /observe far past the ingest buffer. The
@@ -393,7 +449,7 @@ func TestObserveMetricsExposition(t *testing.T) {
 		"collseld_feedback_records_ingested_total 1",
 		"collseld_feedback_wal_records_total 1",
 		"collseld_feedback_swaps_total 0",
-		"collseld_feedback_backoff_state 0",
+		"collseld_feedback_parked 0",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

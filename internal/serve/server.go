@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -87,10 +86,6 @@ type Config struct {
 	// simulation workers, which poll it cooperatively — a timed-out
 	// selection stops burning CPU. 0 disables deadlines.
 	SelectTimeout time.Duration
-	// ObserveRetryAfter is the Retry-After hint stamped on /observe 429
-	// responses (default 1s). Observation producers batch and tolerate long
-	// delays, so operators typically set it to their batching period.
-	ObserveRetryAfter time.Duration
 	// ModelTier is ignored: the model rung is always on.
 	//
 	// Deprecated: it remains only because the perfbench module sets it, and
@@ -106,11 +101,6 @@ type Config struct {
 	// locally if that fails), the /peer/cell gossip endpoint, and cluster state in /healthz and /metrics. The cluster's
 	// lifecycle (Start/Close) belongs to the caller.
 	Cluster *cluster.Cluster
-	// RetryJitterSeed seeds the deterministic jitter applied to every
-	// Retry-After hint, spreading shed clients' re-offers over [base,
-	// 2*base] instead of synchronizing them into a retry wave. Default 1;
-	// replicas should derive distinct seeds (collseld hashes -self).
-	RetryJitterSeed int64
 	// Logf, when non-nil, receives one line per reload and refinement.
 	Logf func(format string, args ...any)
 }
@@ -125,9 +115,6 @@ type Server struct {
 	// SIGTERM latch.
 	gate  *refineGate
 	drain drainFlag
-	// jitter spreads /observe Retry-After hints so shed producers don't
-	// re-offer in lockstep.
-	jitter *retryJitter
 	// refineWG lets WaitBackground join the background refinements.
 	refineWG sync.WaitGroup
 	started  time.Time
@@ -151,19 +138,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ColdQueue < 0 {
 		cfg.ColdQueue = 0 // no waiting: shed when every worker is busy
 	}
-	if cfg.ObserveRetryAfter <= 0 {
-		cfg.ObserveRetryAfter = time.Second
-	}
-	if cfg.RetryJitterSeed == 0 {
-		cfg.RetryJitterSeed = 1
-	}
 	s := &Server{
 		cfg:      cfg,
 		handle:   cfg.Handle,
 		metrics:  newMetrics(),
 		feedback: cfg.Feedback,
 		gate:     newRefineGate(cfg.ColdWorkers, cfg.ColdQueue),
-		jitter:   newRetryJitter(cfg.RetryJitterSeed),
 		started:  time.Now(),
 	}
 	return s, nil
@@ -331,12 +311,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.latency.observe(time.Since(start).Seconds())
 	s.writeJSON(w, "select", http.StatusOK, resp)
-}
-
-// observeRetryAfter stamps the /observe Retry-After hint, jittered over
-// [base, 2*base] so shed producers spread their re-offers.
-func (s *Server) observeRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.jitter.hint(s.cfg.ObserveRetryAfter)))
 }
 
 func fillFromCell(resp *SelectResponse, cell store.Cell, source string, exact bool) {
